@@ -35,6 +35,8 @@ import numpy as np
 import pyarrow as pa
 import ray
 
+from gdal_ray.util import splitmix64
+
 
 def _sever(ds):
     """Materialize AND cut Ray Data's stats/lineage chain by rewrapping
@@ -64,21 +66,9 @@ def _pairs_to_edges(pairs_ds, a_col: str, b_col: str):
     return pairs_ds.map_batches(sym, batch_format="pyarrow", batch_size=None)
 
 
-def _mix64(x: np.ndarray) -> np.ndarray:
-    """splitmix64 finalizer — consistent hash for co-partitioning."""
-    z = x.astype(np.uint64, copy=True)
-    z += np.uint64(0x9E3779B97F4A7C15)
-    z ^= z >> np.uint64(30)
-    z *= np.uint64(0xBF58476D1CE4E5B9)
-    z ^= z >> np.uint64(27)
-    z *= np.uint64(0x94D049BB133111EB)
-    z ^= z >> np.uint64(31)
-    return z
-
-
 def _part_of(col: pa.ChunkedArray | pa.Array, num_parts: int) -> np.ndarray:
     vals = col.to_numpy(zero_copy_only=False) if hasattr(col, "to_numpy") else col
-    return (_mix64(vals) % np.uint64(num_parts)).astype(np.int64)
+    return (splitmix64(vals) % np.uint64(num_parts)).astype(np.int64)
 
 
 @ray.remote

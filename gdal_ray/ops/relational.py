@@ -211,11 +211,10 @@ def groupby_agg(
     merge="hash": partials are hash-partitioned by key (one narrow int64
     shuffle column) and each partition merges its disjoint key set
     independently — no single-task stage, the right mode past the ~10M-key
-    tree bound. merge="shuffle": Ray's native sort aggregate (kept as the
-    engine-native fallback).
+    tree bound. Any other merge value raises ValueError.
     """
-    from ray.data.aggregate import Count, Max, Min, Sum
-
+    if merge not in ("tree", "hash"):
+        raise ValueError(f"merge must be 'tree' or 'hash', not {merge!r}")
     keys = list(keys)
     round_to = round_to or {}
     partials, plan, moment_orders, cov_pairs = _partial_plan(specs)
@@ -452,63 +451,30 @@ def groupby_agg(
             out[f"{tag}__c2"] = pa.array(C2)
         return pa.table(out)
 
-    if merge == "shuffle" and (
-        moment_orders or cov_pairs
-        or any(m not in ("sum", "min", "max") for _, m in merge_plan)
-    ):
-        merge = "tree"  # Ray-native sum aggregate can't express the
-        #                 moment / product / first merges; the tree path can
+    def merge_batch(t: pa.Table) -> pa.Table:
+        if len(t) == 0:
+            return t
+        out = t.group_by(global_key, use_threads=False).aggregate(merge_plan)
+        names = []
+        for name in out.column_names:
+            for pname, mfn in merge_plan:
+                if name == f"{pname}_{mfn}":
+                    name = pname
+                    break
+            names.append(name)
+        return out.rename_columns(names)
 
+    mb = merge_welford if (moment_orders or cov_pairs) else merge_batch
     if merge == "tree":
-        def merge_batch(t: pa.Table) -> pa.Table:
-            if len(t) == 0:
-                return t
-            out = t.group_by(global_key, use_threads=False).aggregate(merge_plan)
-            names = []
-            for name in out.column_names:
-                for pname, mfn in merge_plan:
-                    if name == f"{pname}_{mfn}":
-                        name = pname
-                        break
-                names.append(name)
-            return out.rename_columns(names)
-
-        mb = merge_welford if (moment_orders or cov_pairs) else merge_batch
         merged = (
             partial_ds.repartition(shuffle_partitions)
             .map_batches(mb, batch_format="pyarrow", batch_size=None)
             .repartition(1)
             .map_batches(mb, batch_format="pyarrow", batch_size=None)
         )
-    elif merge == "hash":
-        def merge_part(t: pa.Table) -> pa.Table:
-            if len(t) == 0:
-                return t
-            out = t.group_by(global_key, use_threads=False).aggregate(merge_plan)
-            names = []
-            for name in out.column_names:
-                for pname, mfn in merge_plan:
-                    if name == f"{pname}_{mfn}":
-                        name = pname
-                        break
-                names.append(name)
-            return out.rename_columns(names)
-
-        merged = hash_partition_reduce(
-            partial_ds, global_key,
-            merge_welford if (moment_orders or cov_pairs) else merge_part,
-            num_parts=shuffle_partitions * 32,
-        )
     else:
-        merge_aggs = []
-        for pname, mfn in merge_plan:
-            if mfn == "sum":
-                merge_aggs.append(Sum(pname, alias_name=pname))
-            elif mfn == "min":
-                merge_aggs.append(Min(pname, alias_name=pname))
-            elif mfn == "max":
-                merge_aggs.append(Max(pname, alias_name=pname))
-        merged = partial_ds.repartition(shuffle_partitions).groupby(global_key).aggregate(*merge_aggs)
+        merged = hash_partition_reduce(
+            partial_ds, global_key, mb, num_parts=shuffle_partitions * 32)
 
     def finalize(t: pa.Table) -> pa.Table:
         cols = {}

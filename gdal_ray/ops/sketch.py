@@ -11,26 +11,28 @@ from __future__ import annotations
 
 import numpy as np
 import pyarrow as pa
+import pyarrow.compute as pc
 
-from gdal_ray.util import pd_to_arrow as _pd2pa
-
-from gdal_ray.pipelines.pages import _splitmix64
+from gdal_ray.text.dedup import _hash_tokens_fnv
+from gdal_ray.util import pd_to_arrow as _pd2pa, splitmix64
 
 
 def _hash_col(t: pa.Table, col: str) -> np.ndarray:
+    """64-bit hash per row: splitmix64 for integers, FNV-1a 64 over the
+    bytes of strings/binary, and over str(value) for any other type. A null
+    hashes as the text "None", so sketches and Bloom filters count it as one
+    value."""
     vals = t[col]
     if pa.types.is_integer(vals.type):
-        return _splitmix64(vals.to_numpy(zero_copy_only=False).astype(np.int64))
-    # strings/binary: FNV over bytes via numpy per-row (small cost per batch)
-    out = np.empty(len(t), dtype=np.uint64)
-    P = np.uint64(0x100000001B3)
-    with np.errstate(over="ignore"):
-        for i, v in enumerate(vals.to_pylist()):
-            h = np.uint64(0xCBF29CE484222325)
-            for b in (v if isinstance(v, bytes) else str(v).encode()):
-                h = (h ^ np.uint64(b)) * P
-            out[i] = h
-    return out
+        return splitmix64(vals.to_numpy(zero_copy_only=False).astype(np.int64))
+    typ = vals.type
+    if pa.types.is_string(typ) or pa.types.is_large_string(typ):
+        vals = pc.fill_null(vals.cast(pa.string()), "None")
+    elif pa.types.is_binary(typ) or pa.types.is_large_binary(typ):
+        vals = pc.fill_null(vals.cast(pa.binary()), pa.scalar(b"None"))
+    else:
+        vals = pa.array([str(v) for v in vals.to_pylist()], pa.string())
+    return _hash_tokens_fnv(vals)
 
 
 def hll_sketch(h: np.ndarray, p: int = 12) -> np.ndarray:

@@ -2,11 +2,14 @@
 
 Common-Crawl-style pages table (url, warc_ts, html, text, lang) ->
 extract text + geotag from html -> H3-style/S2 cell encode -> PIP join vs
-admin boundary polygons -> WebMercator tile shuffle with hierarchical
-overview reduce. Mirrors the reference pipeline shapes: ogr2ogr's Arrow
-fast path for the batch chain (apps/ogr2ogr_lib.cpp:4246), `gdal raster
-tile` for the tiling shuffle + overview levels
-(apps/gdalalg_raster_tile.cpp:1576-1696).
+admin boundary polygons -> WebMercator tile pyramid. The pyramid is one
+shuffle: each page emits its tile at every zoom level and a single
+aggregate keyed by (zoom, tile_x, tile_y) counts them, so the overview
+levels come out of the same exchange as the base zoom (the cell-level
+pre-aggregate of GeoBlocks, EDBT 2021). Mirrors the reference pipeline
+shapes: ogr2ogr's Arrow fast path for the batch chain
+(apps/ogr2ogr_lib.cpp:4246), `gdal raster tile` for the tiling + overview
+levels (apps/gdalalg_raster_tile.cpp:1576-1696).
 
 Pages are synthesized DETERMINISTICALLY from the driver's documents table
 (no external data): text is a pure function of url, and each page carries
@@ -22,7 +25,8 @@ import pyarrow.compute as pc
 
 from gdal_ray.geo import wkb as W
 from gdal_ray.ops.relational import groupby_agg
-from gdal_ray.stages.geo import PIPJoiner, add_cell_columns
+from gdal_ray.stages.geo import add_cell_columns
+from gdal_ray.util import splitmix64
 
 # deterministic urban hot-cell centers (lon, lat) — big-city-ish spots
 URBAN_CENTERS = np.array(
@@ -34,23 +38,14 @@ URBAN_CENTERS = np.array(
 ADMIN_STEP = 20.0  # diamond-grid admin cell size in (u, v) = (lon+lat, lon-lat)
 
 
-def _splitmix64(x: np.ndarray) -> np.ndarray:
-    """Deterministic integer hash (splitmix64 finalizer), vectorized."""
-    z = x.astype(np.uint64) + np.uint64(0x9E3779B97F4A7C15)
-    with np.errstate(over="ignore"):
-        z = (z ^ (z >> np.uint64(30))) * np.uint64(0xBF58476D1CE4E5B9)
-        z = (z ^ (z >> np.uint64(27))) * np.uint64(0x94D049BB133111EB)
-        return z ^ (z >> np.uint64(31))
-
-
 def page_coords(page_id: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Deterministic (lon, lat) per page: 80% gaussian around an urban hot
     cell (sigma 0.05 deg — the skew driver), 20% uniform world-ish."""
-    h = _splitmix64(page_id)
+    h = splitmix64(page_id)
     u01 = (h >> np.uint64(11)).astype(np.float64) / float(1 << 53)
-    h2 = _splitmix64(h)
+    h2 = splitmix64(h)
     u02 = (h2 >> np.uint64(11)).astype(np.float64) / float(1 << 53)
-    h3 = _splitmix64(h2)
+    h3 = splitmix64(h2)
     u03 = (h3 >> np.uint64(11)).astype(np.float64) / float(1 << 53)
     urban = u01 < 0.8
     center = URBAN_CENTERS[(h & np.uint64(0xFFFF)).astype(np.int64) % len(URBAN_CENTERS)]
@@ -70,7 +65,7 @@ def page_coords(page_id: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     return lon, np.clip(lat, -83.99, 83.99)
 
 
-def synthesize_pages(sf_dir: str, repeat: int = 1, *, concurrency=None):
+def synthesize_pages(sf_dir: str, repeat: int = 1):
     """documents.parquet -> pages Dataset (url, warc_ts, html, text, lang).
 
     Deterministic: page_id = doc_id * repeat + j; url embeds page_id; text =
@@ -200,11 +195,11 @@ def admin_grid_polygons() -> pa.Table:
     )
 
 
-def flagship(sf_dir: str, *, repeat: int = 1, zoom: int = 9, min_zoom: int = 5,
-             pip_concurrency=None):
-    """The full north-star pipeline. Returns the z-`zoom` per-tile aggregate
-    Dataset (tile_x, tile_y, n_pages, n_admins) plus overview levels merged
-    in (column `zoom`)."""
+def flagship(sf_dir: str, *, repeat: int = 1, zoom: int = 9, min_zoom: int = 5):
+    """The full north-star pipeline. Returns the tile pyramid Dataset
+    (zoom int32, tile_x, tile_y, n_pages int64, n_admins int64): one row per
+    occupied tile at every zoom from `min_zoom` to `zoom` (only `zoom` when
+    min_zoom > zoom)."""
     import ray
 
     from gdal_ray.stages.geo import pip_join_fn
@@ -223,70 +218,29 @@ def flagship(sf_dir: str, *, repeat: int = 1, zoom: int = 9, min_zoom: int = 5,
     # latency; the polygon table is broadcast once via the object store
     joined = pages.map_batches(
         pip_join_fn(admin_ref, how="left"), batch_format="pyarrow", batch_size=None)
-    # tile shuffle: two-level aggregate; the combiner collapses each block to
-    # one row per tile, so the hot-cell skew never ships raw rows.
-    # materialize() pins the base aggregate (small: one row per z-level tile,
-    # bounded by 4^zoom regardless of input size) so the overview pyramid and
-    # the final union DERIVE from it instead of re-executing the whole pages
-    # scan once per level (a lazy union of N levels re-runs the upstream DAG
-    # N times — observed live before this fix).
-    base = groupby_agg(
-        joined,
-        [f"tile_x_z{zoom}", f"tile_y_z{zoom}"],
-        [("n_pages", "count_star", None), ("n_admins", "count", "admin_id")],
-    ).materialize()
+    xcol, ycol = f"tile_x_z{zoom}", f"tile_y_z{zoom}"
 
-    def stamp(t: pa.Table, z: int, xcol: str, ycol: str) -> pa.Table:
-        return pa.table(
-            {
+    def pyramid(t: pa.Table) -> pa.Table:
+        # each page's tile at every zoom: the zoom-z parent of a tile is
+        # tile >> (zoom - z), so each page counts once per zoom level
+        return pa.concat_tables([
+            pa.table({
                 "zoom": pa.array(np.full(len(t), z, dtype=np.int32)),
-                "tile_x": t[xcol],
-                "tile_y": t[ycol],
-                "n_pages": t["n_pages"],
-                "n_admins": t["n_admins"],
-            }
-        )
+                "tile_x": pc.shift_right(t[xcol], zoom - z),
+                "tile_y": pc.shift_right(t[ycol], zoom - z),
+                "admin_id": t["admin_id"],
+            })
+            for z in range(zoom, min(min_zoom, zoom) - 1, -1)
+        ])
 
-    levels = [base.map_batches(
-        lambda t, z=zoom: stamp(t, z, f"tile_x_z{zoom}", f"tile_y_z{zoom}"),
-        batch_format="pyarrow", batch_size=None,)]
-    # hierarchical overview reduce: z -> z-1 built from the previous level's
-    # aggregates only (never re-reads pages) — gdal raster tile's overview
-    # construction restated (one overview tile from <=4 finer tiles)
-    prev = levels[0]
-    for z in range(zoom - 1, min_zoom - 1, -1):
-        def shift(t: pa.Table) -> pa.Table:
-            return pa.table(
-                {
-                    "tile_x": pc.shift_right(t["tile_x"], 1),
-                    "tile_y": pc.shift_right(t["tile_y"], 1),
-                    "n_pages": t["n_pages"],
-                    "n_admins": t["n_admins"],
-                }
-            )
-
-        parent = groupby_agg(
-            prev.map_batches(shift, batch_format="pyarrow", batch_size=None),
-            ["tile_x", "tile_y"],
-            [("n_pages", "sum", "n_pages"), ("n_admins", "sum", "n_admins")],
-        )
-        lvl = parent.map_batches(
-            lambda t, z=z: pa.table(
-                {
-                    "zoom": pa.array(np.full(len(t), z, dtype=np.int32)),
-                    "tile_x": t["tile_x"],
-                    "tile_y": t["tile_y"],
-                    "n_pages": pc.cast(t["n_pages"], pa.int64()),
-                    "n_admins": pc.cast(t["n_admins"], pa.int64()),
-                }
-            ),
-            batch_format="pyarrow", batch_size=None,).materialize()  # tiny; keeps each level single-execution under union
-        levels.append(lvl)
-        prev = lvl
-    out = levels[0]
-    for lvl in levels[1:]:
-        out = out.union(lvl)
-    return out
+    # the whole pyramid is ONE aggregate keyed by (zoom, tile): every zoom
+    # level is a key of the same exchange. The combiner collapses each block
+    # to one row per (zoom, tile), so the hot-cell skew never ships raw rows.
+    return groupby_agg(
+        joined.map_batches(pyramid, batch_format="pyarrow", batch_size=None),
+        ["zoom", "tile_x", "tile_y"],
+        [("n_pages", "count_star", None), ("n_admins", "count", "admin_id")],
+    )
 
 
 def flagship_to_parquet(sf_dir: str, out_dir: str, *, repeat: int = 1,

@@ -1553,7 +1553,7 @@ def q53_tile_pyramid(sf_dir):
 def q60_flagship_tiles(sf_dir):
     from gdal_ray.pipelines.pages import flagship
 
-    return flagship(sf_dir, repeat=1, zoom=9, min_zoom=5, pip_concurrency=(1, 4))
+    return flagship(sf_dir, repeat=1, zoom=9, min_zoom=5)
 
 
 # ---------------------------------------------------------------------------

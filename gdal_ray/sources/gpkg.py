@@ -5,9 +5,9 @@ Reference: ogr/ogrsf_frmts/gpkg. Layers come from `gpkg_contents`
 (data_type = 'features'); the geometry column and SRS from
 `gpkg_geometry_columns`; each geometry value is a GPKG blob: magic
 "GP", version, flags (bit 0 endian, bits 1-3 envelope type -> 0/32/
-48/48/64-byte envelope), int32 srs_id, envelope, then standard WKB —
-the reader strips the header and returns plain WKB, matching the other
-vector drivers.
+48/48/64-byte envelope, bit 4 empty geometry, bit 5 extended type),
+int32 srs_id, envelope, then standard WKB — the reader strips the
+header and returns plain WKB, matching the other vector drivers.
 
 Parity gate (cross-format oracle): the reference's poly_golden.gpkg is
 ogr2ogr's conversion of poly.shp — reading it must reproduce our
@@ -40,7 +40,9 @@ def gpkg_geom_to_wkb(blob: bytes) -> bytes | None:
     env = (flags >> 1) & 0x07
     if env not in _ENVELOPE_BYTES:
         raise ValueError(f"invalid GPKG envelope indicator {env}")
-    if flags & 0x20:  # empty-geometry flag
+    if flags & 0x20:
+        raise ValueError("ExtendedGeoPackageBinary geometry blobs are not supported")
+    if flags & 0x10:  # empty-geometry flag
         return None
     return bytes(blob[8 + _ENVELOPE_BYTES[env]:])
 

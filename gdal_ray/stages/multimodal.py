@@ -22,7 +22,7 @@ import hashlib
 import numpy as np
 import pyarrow as pa
 
-from gdal_ray.pipelines.pages import _splitmix64
+from gdal_ray.util import splitmix64
 
 
 def synth_image_column(ds, *, id_col: str, width=32, height=32,
@@ -39,7 +39,7 @@ def synth_image_column(ds, *, id_col: str, width=32, height=32,
         ids = t[id_col].to_numpy(zero_copy_only=False).astype(np.int64)
         payloads = []
         for i in ids:
-            rng_seed = _splitmix64(np.array([i], dtype=np.int64))[0]
+            rng_seed = splitmix64(np.array([i], dtype=np.int64))[0]
             # deterministic pseudo-image: xor-pattern seeded by the id
             xs = np.arange(width, dtype=np.uint64)
             ys = np.arange(height, dtype=np.uint64)

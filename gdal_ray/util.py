@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import os
 
+import numpy as np
 import pyarrow as pa
 
 #: GDAL's Arrow export batches default to 65,536 features
@@ -135,6 +136,16 @@ def read_table_with_fid(sf_dir: str, name: str, columns=None,
 
     return rd.from_items(items, override_num_blocks=len(items)).map_batches(
         read_rg, batch_format="pyarrow", batch_size=None)
+
+
+def splitmix64(x: np.ndarray) -> np.ndarray:
+    """splitmix64 finalizer, vectorized: the deterministic integer hash
+    behind page coordinates, co-partitioning and integer sketch keys."""
+    z = x.astype(np.uint64) + np.uint64(0x9E3779B97F4A7C15)
+    with np.errstate(over="ignore"):
+        z = (z ^ (z >> np.uint64(30))) * np.uint64(0xBF58476D1CE4E5B9)
+        z = (z ^ (z >> np.uint64(27))) * np.uint64(0x94D049BB133111EB)
+        return z ^ (z >> np.uint64(31))
 
 
 def pd_to_arrow(df, preserve_index: bool = False) -> pa.Table:

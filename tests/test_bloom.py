@@ -26,6 +26,34 @@ def test_bloom_no_false_negatives_and_fpr(ray_session):
     assert fpr < 0.03, fpr
 
 
+def _fnv1a_loop(values) -> np.ndarray:
+    """Scalar FNV-1a 64 per value (bytes as-is, anything else via str)."""
+    out = np.empty(len(values), dtype=np.uint64)
+    with np.errstate(over="ignore"):
+        for i, v in enumerate(values):
+            h = np.uint64(0xCBF29CE484222325)
+            for b in (v if isinstance(v, bytes) else str(v).encode()):
+                h = (h ^ np.uint64(b)) * np.uint64(0x100000001B3)
+            out[i] = h
+    return out
+
+
+@pytest.mark.parametrize("arr", [
+    pa.array(["a", "", None, "h\u00e9llo w\u00f6rld", "x" * 300]),
+    pa.array(["", ""]),
+    pa.array([None, None], pa.string()),
+    pa.array(["skip", "ab", None], pa.large_string()).slice(1),
+    pa.array([b"\x00\xff", None, b""], pa.binary()),
+    pa.array([1.5, None, 1e20]),
+    pa.array(["a", "b", None]).dictionary_encode(),
+    pa.chunked_array([pa.array(["a", None]), pa.array(["bc"])]),
+], ids=["str", "empty_strs", "all_null", "large_sliced", "binary", "float",
+        "dict", "chunked"])
+def test_hash_col_matches_scalar_fnv(arr):
+    t = pa.table({"c": arr})
+    assert np.array_equal(_hash_col(t, "c"), _fnv1a_loop(t["c"].to_pylist()))
+
+
 def test_bloom_flag_strings(ray_session, sf_dir):
     ds = rd.read_parquet(sf_path(sf_dir, "customer"),
                          columns=["c_mktsegment"])

@@ -3,6 +3,8 @@ is CROSS-FORMAT: poly_golden.gpkg is ogr2ogr's conversion of poly.shp,
 so our GPKG reader must agree with our independent Shapefile reader
 feature-for-feature, down to the WKB bytes."""
 
+import struct
+
 import numpy as np
 import pytest
 
@@ -52,6 +54,25 @@ def test_blob_errors():
     with pytest.raises(ValueError):
         gpkg_geom_to_wkb(b"XXnot a gpkg geometry blob")
     assert gpkg_geom_to_wkb(None) is None
+
+
+def _gp_blob(flags: int, envelope: bytes = b"") -> bytes:
+    """In-memory GPKG geometry blob: header + envelope + WKB POINT(1 2)."""
+    wkb = struct.pack("<BIdd", 1, 1, 1.0, 2.0)
+    return b"GP" + bytes([0, flags]) + struct.pack("<i", 4326) + envelope + wkb
+
+
+def test_blob_header_flags():
+    # flags: bit 0 little-endian, bits 1-3 envelope, 0x10 empty, 0x20 extended
+    wkb = struct.pack("<BIdd", 1, 1, 1.0, 2.0)
+    assert gpkg_geom_to_wkb(_gp_blob(0x01)) == wkb
+    env = struct.pack("<4d", 1.0, 1.0, 2.0, 2.0)
+    assert gpkg_geom_to_wkb(_gp_blob(0x03, env)) == wkb
+    assert gpkg_geom_to_wkb(_gp_blob(0x11)) is None
+    # ExtendedGeoPackageBinary carries a non-standard payload: reading it as
+    # NULL would drop the geometry silently
+    with pytest.raises(ValueError, match="xtended"):
+        gpkg_geom_to_wkb(_gp_blob(0x21))
 
 
 def test_open_source_dispatch(ray_session):

@@ -170,6 +170,12 @@ def test_groupby_agg_hash_merge(sf_dir, con):
     assert got["n"].tolist() == exp["n"].tolist()
 
 
+def test_groupby_agg_unknown_merge_raises():
+    # the merge mode is checked before the input is touched
+    with pytest.raises(ValueError, match="merge"):
+        R.groupby_agg(None, ["k"], [("n", "count_star", None)], merge="shuffle")
+
+
 def test_std_large_mean_welford():
     """mean ~ 1e9, std ~ 1: the naive E[x^2]-E[x]^2 formula cancels
     catastrophically (double has ~1e-16 relative precision; x^2 ~ 1e18

@@ -6,12 +6,15 @@ Usage: python tools/check_correctness.py [sf_dir] [query ...]
 
 from __future__ import annotations
 
+import os
 import sys
 import time
 
 import duckdb
 import numpy as np
 import pandas as pd
+
+ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 
 
 def normalize(df: pd.DataFrame) -> pd.DataFrame:
@@ -74,13 +77,15 @@ def main():
 
     import ray
 
-    ray.init(address="local", num_cpus=8, include_dashboard=False, logging_level="ERROR")
-    sys.path.insert(0, "/root/repo")
+    # check this script's own checkout, in this process and in the Ray workers
+    pypath = os.pathsep.join(p for p in (ROOT, os.environ.get("PYTHONPATH")) if p)
+    ray.init(address="local", num_cpus=8, include_dashboard=False, logging_level="ERROR",
+             runtime_env={"env_vars": {"PYTHONPATH": pypath}})
+    sys.path.insert(0, ROOT)
     from gdal_ray.util import tune_data_context
 
     tune_data_context()
 
-    sys.path.insert(0, "/root/repo")
     import __ray_entry__ as E
     from gdal_ray.util import to_arrow
 
