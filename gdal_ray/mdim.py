@@ -203,8 +203,7 @@ def from_table(ds, *, shape, chunks, dtype, dims=None,
     Returns (MDMeta, Dataset of chunk rows). This is how a 100-TB array
     materializes from a relational aggregate without ever touching the
     driver."""
-    import pandas as pd
-
+    from gdal_ray.ops.relational import hash_partition_reduce
     from gdal_ray.util import default_num_parts
 
     if combine not in ("sum", "last"):
@@ -243,15 +242,8 @@ def from_table(ds, *, shape, chunks, dtype, dims=None,
         return pa.table({"cid": pa.array(cid), "lloc": pa.array(lloc),
                          "v": pa.array(v)})
 
-    P = default_num_parts()
-
-    def add_part(t: pa.Table) -> pa.Table:
-        c = t["cid"].to_numpy(zero_copy_only=False)
-        return t.append_column("part", pa.array((c % P).astype(np.int64)))
-
-    def densify(g: pd.DataFrame) -> pd.DataFrame:
-        g = g.sort_values(["cid", "lloc"], kind="mergesort",
-                          ignore_index=True)
+    def densify(g: pa.Table) -> pa.Table:
+        g = g.sort_by([("cid", "ascending"), ("lloc", "ascending")])
         cid = g["cid"].to_numpy()
         lloc = g["lloc"].to_numpy()
         v = g["v"].to_numpy()
@@ -289,11 +281,13 @@ def from_table(ds, *, shape, chunks, dtype, dims=None,
                 rows[f"o{i}"].append(int(cc[i] * chunks[i]))
                 rows[f"s{i}"].append(int(psh[i]))
             rows["data"].append(arr.tobytes())
-        return pd.DataFrame(rows)
+        return pa.table({c: pa.array(vals, pa.int64()) if c != "data"
+                         else pa.array(vals, pa.binary())
+                         for c, vals in rows.items()})
 
-    out = (ds.map_batches(part, batch_format="pyarrow", batch_size=None)
-           .map_batches(add_part, batch_format="pyarrow", batch_size=None)
-           .groupby("part").map_groups(densify, batch_format="pandas"))
+    out = hash_partition_reduce(
+        ds.map_batches(part, batch_format="pyarrow", batch_size=None),
+        ["cid"], densify, num_parts=default_num_parts())
     return meta, out
 
 

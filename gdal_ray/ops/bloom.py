@@ -23,7 +23,7 @@ import numpy as np
 import pyarrow as pa
 import pyarrow.compute as pc
 
-from gdal_ray.ops.sketch import _hash_col
+from gdal_ray.util import hash_column
 
 
 def _positions(h: np.ndarray, num_bits: int, k: int) -> np.ndarray:
@@ -59,7 +59,7 @@ def bloom_build(ds, col: str, *, num_bits: int = 1 << 23, k: int = 6,
     num_words = (num_bits + 63) >> 6
 
     def partial(t: pa.Table) -> pa.Table:
-        h = _hash_col(t, col)
+        h = hash_column(t[col])
         wi, w = _set_bits(_positions(h, num_bits, k), num_words)
         return pa.table({"wi": pa.array(wi, pa.int64()),
                          "w": pa.array(w, pa.uint64())})
@@ -113,7 +113,7 @@ def bloom_flag(ds, col: str, bits: np.ndarray, *, k: int = 6,
     def f(t: pa.Table) -> pa.Table:
         b = ray.get(ref)
         return t.append_column(out, pa.array(
-            bloom_contains(b, _hash_col(t, col), k)))
+            bloom_contains(b, hash_column(t[col]), k)))
 
     return ds.map_batches(f, batch_format="pyarrow", batch_size=None)
 
@@ -137,7 +137,7 @@ def bloom_semi_join(ds, right_ds, keys, *, anti: bool = False,
 
     def split(t: pa.Table, keep_hit: bool) -> pa.Table:
         b = ray.get(ref)
-        hit = bloom_contains(b, _hash_col(t, key), k)
+        hit = bloom_contains(b, hash_column(t[key]), k)
         return t.filter(pa.array(hit if keep_hit else ~hit))
 
     maybe = ds.map_batches(lambda t: split(t, True),

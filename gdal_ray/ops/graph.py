@@ -35,7 +35,7 @@ import numpy as np
 import pyarrow as pa
 import ray
 
-from gdal_ray.util import splitmix64
+from gdal_ray.util import partition_ids
 
 
 def _sever(ds):
@@ -66,18 +66,13 @@ def _pairs_to_edges(pairs_ds, a_col: str, b_col: str):
     return pairs_ds.map_batches(sym, batch_format="pyarrow", batch_size=None)
 
 
-def _part_of(col: pa.ChunkedArray | pa.Array, num_parts: int) -> np.ndarray:
-    vals = col.to_numpy(zero_copy_only=False) if hasattr(col, "to_numpy") else col
-    return (splitmix64(vals) % np.uint64(num_parts)).astype(np.int64)
-
-
 @ray.remote
 def _split_by_hash(t: pa.Table, key_col: str, num_parts: int):
     """One table -> num_parts tables routed by hash(key_col). Single
     argsort + boundary scan; slices are zero-copy views of one take."""
     if len(t) == 0:
         return [t] * num_parts if num_parts > 1 else t
-    part = _part_of(t[key_col], num_parts)
+    part = partition_ids(t, [key_col], num_parts)
     order = np.argsort(part, kind="stable")
     sorted_t = t.take(pa.array(order))
     bounds = np.searchsorted(part[order], np.arange(num_parts + 1))
@@ -766,7 +761,8 @@ def _pr_load_checkpoint(cp_dir: str, num_parts: int, n_total: int, meta):
     """Newest sealed iteration -> (iteration, rank refs) or None.
     Partitions must match the current run's layout (num_parts +
     node-universe size pinned in the marker); loaded tables re-align to
-    the current meta node order by searchsorted for safety."""
+    the current meta node order by searchsorted, and a partition whose
+    node ids differ from the current run's raises ValueError."""
     import json
     import os
     import re
@@ -801,8 +797,13 @@ def _pr_load_checkpoint(cp_dir: str, num_parts: int, n_total: int, meta):
         if len(got) != len(nodes):
             raise ValueError("checkpoint partition size mismatch")
         if not np.array_equal(got, nodes):
-            pos = np.searchsorted(got, nodes)
+            pos = np.minimum(np.searchsorted(got, nodes), len(got) - 1)
             t = t.take(pa.array(pos))
+            if not np.array_equal(t["node"].to_numpy(zero_copy_only=False),
+                                  nodes):
+                raise ValueError(
+                    f"checkpoint {path} holds other node ids than this "
+                    "run's partition")
         return pa.table({"node": t["node"], "r": t["r"]})
 
     ranks = [_load.remote(os.path.join(d, f"part_{p}.parquet"), meta[p])

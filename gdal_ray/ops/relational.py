@@ -27,7 +27,7 @@ from typing import Sequence
 import numpy as np
 import pyarrow as pa
 
-from gdal_ray.util import pd_to_arrow as _pd2pa
+from gdal_ray.util import default_num_parts, partition_ids, pd_to_arrow as _pd2pa
 import pyarrow.compute as pc
 
 
@@ -41,33 +41,24 @@ import pyarrow.compute as pc
 _PART_COL = "__part"
 
 
-def _append_hash_part(t: pa.Table, keys: Sequence[str], num_parts: int) -> pa.Table:
-    """Deterministic vectorized key hash -> partition id column. Uses
-    pandas' siphash (stable across processes for a fixed hash key)."""
-    import pandas as pd
-
-    df = t.select(list(keys)).to_pandas()
-    h = pd.util.hash_pandas_object(df, index=False).to_numpy()
-    return t.append_column(_PART_COL, pa.array((h % np.uint64(num_parts)).astype(np.int64)))
-
-
 def hash_partition_reduce(ds, keys: Sequence[str], reduce_tbl, *, num_parts: int | None = None):
-    """Route rows to hash(keys) % num_parts and apply reduce_tbl(pa.Table)
-    -> pa.Table within each partition. Keys are partition-disjoint, so a
-    per-partition reduce is globally correct for key-local reductions
-    (winner-per-group, distinct, algebraic aggregate merges).
+    """Route rows to util.partition_ids(keys) and apply
+    reduce_tbl(pa.Table) -> pa.Table within each partition. The partition
+    id depends on the key values alone (never on a block's dtypes or null
+    mix), so equal keys always meet and a per-partition reduce is globally
+    correct for key-local reductions (winner-per-group, distinct, algebraic
+    aggregate merges, co-partitioned joins over a tagged union).
 
     num_parts=None sizes the shuffle to the cluster (8x total CPUs, floor
     256 — measured: 10M-key dedup at 256 parts was ~2x faster than 128;
     a constant would cap a 256-node cluster at single-node widths)."""
-    from gdal_ray.util import default_num_parts
-
     if num_parts is None:
         num_parts = default_num_parts(multiplier=8, floor=256)
     keys = list(keys)
 
     parted = ds.map_batches(
-        lambda t: _append_hash_part(t, keys, num_parts),
+        lambda t: t.append_column(
+            _PART_COL, pa.array(partition_ids(t, keys, num_parts))),
         batch_format="pyarrow", batch_size=None,
     )
 
@@ -75,6 +66,29 @@ def hash_partition_reduce(ds, keys: Sequence[str], reduce_tbl, *, num_parts: int
         return reduce_tbl(t.drop_columns([_PART_COL]))
 
     return parted.groupby(_PART_COL).map_groups(reduce_group, batch_format="pyarrow")
+
+
+_LARGE = {pa.string(): pa.large_string(), pa.binary(): pa.large_binary()}
+
+
+def arrow_group_by(t: pa.Table, keys: Sequence[str], aggs=()) -> pa.Table:
+    """t.group_by(keys).aggregate(aggs), single-threaded. pyarrow 16.1
+    returns duplicate groups for a string/binary key next to a key that
+    holds nulls once a table has more than 32 rows (['a','b']*500 beside an
+    all-null date32 gives 226 groups, not 2); the large_string/large_binary
+    types group correctly, so a multi-key group_by runs such keys as their
+    large types and casts them back. Tables whose keys hold no null, and
+    all other keys, are not copied."""
+    keys = list(keys)
+    nulls = len(keys) > 1 and any(t[k].null_count for k in keys)
+    small = {k: t.schema.field(k).type for k in keys
+             if nulls and t.schema.field(k).type in _LARGE}
+    for k, typ in small.items():
+        t = t.set_column(t.column_names.index(k), k, t[k].cast(_LARGE[typ]))
+    out = t.group_by(keys, use_threads=False).aggregate(list(aggs))
+    for k, typ in small.items():
+        out = out.set_column(out.column_names.index(k), k, out[k].cast(typ))
+    return out
 
 
 # ---------------------------------------------------------------------------
@@ -271,7 +285,7 @@ def groupby_agg(
             batch = batch.append_column(f"__cy_{tag}", dy)
             batch = batch.append_column(f"__cx_{tag}", dx)
             batch = batch.append_column(f"__cxy_{tag}", pc.multiply(dx, dy))
-        out = batch.group_by(global_key, use_threads=False).aggregate(list(partials))
+        out = arrow_group_by(batch, global_key, partials)
         names = []
         for name in out.column_names:
             renamed = name
@@ -454,7 +468,7 @@ def groupby_agg(
     def merge_batch(t: pa.Table) -> pa.Table:
         if len(t) == 0:
             return t
-        out = t.group_by(global_key, use_threads=False).aggregate(merge_plan)
+        out = arrow_group_by(t, global_key, merge_plan)
         names = []
         for name in out.column_names:
             for pname, mfn in merge_plan:
@@ -591,7 +605,7 @@ def distinct(ds, cols: Sequence[str], *, merge: str = "tree", num_parts: int | N
     cols = list(cols)
 
     def batch_distinct(t: pa.Table) -> pa.Table:
-        return t.select(cols).group_by(cols, use_threads=False).aggregate([])
+        return arrow_group_by(t.select(cols), cols)
 
     partial = ds.map_batches(batch_distinct, batch_format="pyarrow", batch_size=None)
     if merge == "hash":
@@ -657,23 +671,24 @@ def join_tables(lt: pa.Table, rt: pa.Table, *, keys, right_keys=None,
 def cross_join(ds, right: pa.Table):
     """Cartesian product: the right table broadcasts (ray.put once) and
     each left batch emits len(batch) x len(right) rows via one repeat
-    take + one tile take — no shuffle, streams on the left side. Right
-    columns whose names collide with left columns are dropped (the left
-    side wins, matching the engine's join coalescing contract)."""
+    take + one tile take — no shuffle, streams on the left side. A right
+    column whose name is also a column of a left batch raises ValueError
+    in that batch's task: keeping either side silently would answer a
+    reference to the other one with the wrong values."""
     import ray
 
     rref = ray.put(right)
 
     def f(t: pa.Table) -> pa.Table:
         r = ray.get(rref)
+        clash = sorted(set(r.column_names) & set(t.column_names))
+        if clash:
+            raise ValueError(f"cross_join: column names on both sides: {clash}")
         n, m = len(t), len(r)
         lt = t.take(pa.array(np.repeat(np.arange(n, dtype=np.int64), m)))
         rt = r.take(pa.array(np.tile(np.arange(m, dtype=np.int64), n)))
-        cols = {c: lt[c] for c in lt.column_names}
-        for c in rt.column_names:
-            if c not in cols:
-                cols[c] = rt[c]
-        return pa.table(cols)
+        return pa.table({**{c: lt[c] for c in lt.column_names},
+                         **{c: rt[c] for c in rt.column_names}})
 
     return ds.map_batches(f, batch_format="pyarrow", batch_size=None)
 
@@ -705,9 +720,9 @@ def broadcast_join(
             right, sort_keys=[(c, "ascending") for c in list(first_match_order)]
         )
         right = right.take(idx)
-        right = right.group_by(right_keys, use_threads=False).aggregate(
-            [(c, "first") for c in right.column_names if c not in right_keys]
-        )
+        right = arrow_group_by(
+            right, right_keys,
+            [(c, "first") for c in right.column_names if c not in right_keys])
         right = right.rename_columns(
             [n[:-6] if n.endswith("_first") else n for n in right.column_names]
         )
@@ -852,7 +867,7 @@ def semi_anti_join(ds, keys: Sequence[str], key_set, *, anti: bool = False):
         else:
             key_tbl = pa.table({k: pa.array([v[i] for v in vals])
                                 for i, k in enumerate(keys)})
-    key_tbl = key_tbl.group_by(keys, use_threads=False).aggregate([])
+    key_tbl = arrow_group_by(key_tbl, keys)
     ref = ray.put(key_tbl)
     join_type = "left anti" if anti else "left semi"
 
@@ -923,20 +938,22 @@ def first_by(ds, group_keys: Sequence[str], order_cols: Sequence[str],
     asc = [True] * len(group_keys) + (
         list(ascending) if ascending is not None else [True] * len(order_cols))
 
-    def winners(df):
-        return df.sort_values(by, ascending=asc,
-                              kind="mergesort").drop_duplicates(
-            group_keys, keep="first"
-        )
+    sort_keys = [(c, "ascending" if a else "descending") for c, a in zip(by, asc)]
 
-    partial = ds.map_batches(winners, batch_format="pandas", batch_size=None)
+    def winners(t: pa.Table) -> pa.Table:
+        # stable sort (nulls last), then each group's first sorted row; the
+        # rows stay Arrow, so key dtypes never change between stages
+        t = t.take(pc.sort_indices(t, sort_keys=sort_keys))
+        pos = t.select(group_keys).append_column(
+            "__pos", pa.array(np.arange(len(t), dtype=np.int64)))
+        first = arrow_group_by(pos, group_keys, [("__pos", "min")])["__pos_min"]
+        return t.take(pa.array(np.sort(first.to_numpy())))
+
+    partial = ds.map_batches(winners, batch_format="pyarrow", batch_size=None)
     if merge == "hash":
-        def reduce_tbl(t: pa.Table) -> pa.Table:
-            return _pd2pa(winners(t.to_pandas()), preserve_index=False)
-
-        return hash_partition_reduce(partial, group_keys, reduce_tbl, num_parts=num_parts)
+        return hash_partition_reduce(partial, group_keys, winners, num_parts=num_parts)
     reduced = partial.repartition(1)
-    return reduced.map_batches(winners, batch_format="pandas", batch_size=None)
+    return reduced.map_batches(winners, batch_format="pyarrow", batch_size=None)
 
 
 def groupby_arg_extreme(ds, keys: Sequence[str], val_col: str,
@@ -1506,7 +1523,7 @@ def semi_join_hash(ds, right_ds, keys: Sequence[str], *, anti: bool = False,
         side = t[side_col].to_numpy(zero_copy_only=False)
         lt = t.filter(pa.array(side == 0)).drop_columns([side_col])
         rt = t.filter(pa.array(side == 1)).select(keys)
-        kt = rt.group_by(keys, use_threads=False).aggregate([])
+        kt = arrow_group_by(rt, keys)
         if len(keys) == 1:
             mask = pc.is_in(lt[keys[0]],
                             value_set=kt[keys[0]].combine_chunks())
@@ -1758,7 +1775,7 @@ def cohort_retention(ds, *, by: str, ts_col: str, period: str = "W",
                                   part, num_parts=num_parts)
 
     def merge(t: pa.Table) -> pa.Table:
-        return pa.TableGroupBy(t, ["cohort", "age"]).aggregate([("n", "sum")]) \
+        return arrow_group_by(t, ["cohort", "age"], [("n", "sum")]) \
             .rename_columns(["cohort", "age", "n"])
 
     return hash_partition_reduce(parts, ["cohort", "age"], merge)

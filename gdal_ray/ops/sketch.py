@@ -13,26 +13,8 @@ import numpy as np
 import pyarrow as pa
 import pyarrow.compute as pc
 
-from gdal_ray.text.dedup import _hash_tokens_fnv
-from gdal_ray.util import pd_to_arrow as _pd2pa, splitmix64
-
-
-def _hash_col(t: pa.Table, col: str) -> np.ndarray:
-    """64-bit hash per row: splitmix64 for integers, FNV-1a 64 over the
-    bytes of strings/binary, and over str(value) for any other type. A null
-    hashes as the text "None", so sketches and Bloom filters count it as one
-    value."""
-    vals = t[col]
-    if pa.types.is_integer(vals.type):
-        return splitmix64(vals.to_numpy(zero_copy_only=False).astype(np.int64))
-    typ = vals.type
-    if pa.types.is_string(typ) or pa.types.is_large_string(typ):
-        vals = pc.fill_null(vals.cast(pa.string()), "None")
-    elif pa.types.is_binary(typ) or pa.types.is_large_binary(typ):
-        vals = pc.fill_null(vals.cast(pa.binary()), pa.scalar(b"None"))
-    else:
-        vals = pa.array([str(v) for v in vals.to_pylist()], pa.string())
-    return _hash_tokens_fnv(vals)
+from gdal_ray.ops.relational import arrow_group_by
+from gdal_ray.util import hash_column, pd_to_arrow as _pd2pa
 
 
 def hll_sketch(h: np.ndarray, p: int = 12) -> np.ndarray:
@@ -68,7 +50,7 @@ def approx_count_distinct(ds, col: str, p: int = 12) -> float:
     """Distributed HLL: one register array per batch, bitwise-max merged."""
 
     def sk(t: pa.Table) -> pa.Table:
-        regs = hll_sketch(_hash_col(t, col), p)
+        regs = hll_sketch(hash_column(t[col]), p)
         return pa.table({"regs": pa.array([regs.tobytes()], pa.binary())})
 
     merged = None
@@ -300,7 +282,7 @@ def heavy_hitters(ds, col: str, *, phi: float, tree_width: int = 16):
     m = 2 * int(np.ceil(1.0 / phi))
 
     def _mg_truncate(t: pa.Table) -> pa.Table:
-        g = t.group_by([col], use_threads=False).aggregate([("n", "sum")])
+        g = arrow_group_by(t, [col], [("n", "sum")])
         g = g.rename_columns([col, "n"])
         n = g["n"].to_numpy(zero_copy_only=False)
         if n.size <= m:
@@ -346,8 +328,7 @@ def heavy_hitters(ds, col: str, *, phi: float, tree_width: int = 16):
         ])
 
     def _sum_groups(t: pa.Table) -> pa.Table:
-        g = t.group_by([col], use_threads=False).aggregate(
-            [("n", "sum"), ("total", "sum")])
+        g = arrow_group_by(t, [col], [("n", "sum"), ("total", "sum")])
         return g.rename_columns([col, "n", "total"])
 
     parts = (

@@ -5842,7 +5842,7 @@ def _execute_core(q: Select, sf_dir: str, order_by, limit, offset):
                             batch_size=None)
 
     key_alias: dict = {}
-    for j in (q.joins or []):
+    for ji, j in enumerate(q.joins or []):
         import pyarrow.parquet as pq
 
         from gdal_ray.util import sf_path, to_arrow
@@ -5898,11 +5898,15 @@ def _execute_core(q: Select, sf_dir: str, order_by, limit, offset):
                     for c, _ in (order_by or []):
                         if isinstance(c, str):
                             acc.add(c)
-                    # keep >= 1 column: a 0-column Arrow table loses its
-                    # row count, which would collapse the product
-                    rneed = [c for c in rcols if c in acc] or [rcols[0]]
-                right = pq.read_table(sf_path(sf_dir, j.table),
-                                      columns=rneed)
+                    rneed = [c for c in rcols if c in acc]
+                if rneed == []:
+                    # no right column is read: a 0-column Arrow table loses
+                    # its row count, which would collapse the product, so
+                    # one all-null column under a name of its own carries it
+                    right = pa.table({f"__cross_rows{ji}": pa.nulls(right_rows)})
+                else:
+                    right = pq.read_table(sf_path(sf_dir, j.table),
+                                          columns=rneed)
             if right.num_rows > _BROADCAST_JOIN_MAX_ROWS:
                 raise ValueError(
                     "CROSS JOIN right side too large to broadcast")

@@ -473,7 +473,7 @@ def q17_zonal_mode(sf_dir):
     # -> distributed combiner tree merge (groupby_agg) -> hash-partition by
     # zone and compute all per-zone mode stats VECTORIZED (sorted
     # drop-duplicates = per-zone argmax/argmin, no Python loop over zones)
-    from gdal_ray.ops.relational import groupby_agg
+    from gdal_ray.ops.relational import groupby_agg, hash_partition_reduce
 
     def part(t: pa.Table) -> pa.Table:
         df = t.select(["admin_id", "event_type"]).to_pandas()
@@ -484,33 +484,21 @@ def q17_zonal_mode(sf_dir):
     counts = groupby_agg(partials, ["admin_id", "event_type"],
                          [("n", "sum", "n")])
 
-    P = 32
+    def finish(t: pa.Table) -> pa.Table:
+        maj = t.sort_by([("admin_id", "ascending"), ("n", "descending"),
+                         ("event_type", "ascending")])
+        mnr = t.sort_by([("admin_id", "ascending"), ("n", "ascending"),
+                         ("event_type", "descending")])
+        a = maj["admin_id"].to_numpy()
+        first = np.flatnonzero(np.r_[True, a[1:] != a[:-1]])
+        return pa.table({
+            "admin_id": maj["admin_id"].take(first),
+            "majority": maj["event_type"].take(first),
+            "minority": mnr["event_type"].take(first),
+            "variety": pa.array(np.diff(np.r_[first, len(a)]), pa.int64()),
+        })
 
-    def add_part(t: pa.Table) -> pa.Table:
-        a = t["admin_id"].to_numpy(zero_copy_only=False)
-        return t.append_column("part", pa.array((a % P).astype(np.int64)))
-
-    def finish(df: pd.DataFrame) -> pd.DataFrame:
-        df = df.drop(columns=["part"])
-        maj = df.sort_values(["admin_id", "n", "event_type"],
-                             ascending=[True, False, True],
-                             kind="mergesort").drop_duplicates("admin_id")
-        mnr = df.sort_values(["admin_id", "n", "event_type"],
-                             ascending=[True, True, False],
-                             kind="mergesort").drop_duplicates("admin_id")
-        out = (df.groupby("admin_id", sort=True).size()
-               .reset_index(name="variety"))
-        out = out.merge(maj[["admin_id", "event_type"]]
-                        .rename(columns={"event_type": "majority"}),
-                        on="admin_id")
-        out = out.merge(mnr[["admin_id", "event_type"]]
-                        .rename(columns={"event_type": "minority"}),
-                        on="admin_id")
-        return out[["admin_id", "majority", "minority", "variety"]]
-
-    return (counts.map_batches(add_part, batch_format="pyarrow",
-                               batch_size=None)
-            .groupby("part").map_groups(finish, batch_format="pandas"))
+    return hash_partition_reduce(counts, ["admin_id"], finish, num_parts=32)
 
 
 Q17_SQL = f"""

@@ -26,8 +26,10 @@ import numpy as np
 import pandas as pd
 import pyarrow as pa
 
+from gdal_ray.ops.relational import hash_partition_reduce
 from gdal_ray.raster.analysis import contour_segments, stitch_polylines
 from gdal_ray.raster.polygonize import UnionFind
+from gdal_ray.util import default_num_parts
 
 TILE = 256
 
@@ -138,38 +140,31 @@ def contour_tiles_ds(tiles_ds, levels, *, dtype=np.float32):
     map_ref = ray.put(root_map)
 
     # --- per-component polyline join as a Ray stage (hash-partitioned) ---
-    from gdal_ray.util import default_num_parts
-    P = default_num_parts()
-
     def relabel(t: pa.Table) -> pa.Table:
         rm = ray.get(map_ref)
         roots = [rm.get(u, u) for u in t["uid"].to_pylist()]
-        part = pd.util.hash_pandas_object(
-            pd.Series(roots), index=False).to_numpy() % np.uint64(P)
-        return pa.table({
-            "part": pa.array(part.astype(np.int64)),
-            "root": pa.array(roots),
-            "level_i": t["level_i"], "pts": t["pts"],
-        })
+        return pa.table({"root": pa.array(roots, pa.string()),
+                         "level_i": t["level_i"], "pts": t["pts"]})
 
-    def join_partition(g: pd.DataFrame) -> pd.DataFrame:
-        g = g.sort_values("root", kind="mergesort").reset_index(drop=True)
+    def join_partition(g: pa.Table) -> pa.Table:
+        g = g.sort_by("root")
         roots = g["root"].to_numpy()
         bounds = np.concatenate(
             [[0], np.nonzero(roots[1:] != roots[:-1])[0] + 1, [len(g)]])
+        level_i = g["level_i"].to_numpy()
+        pts = g["pts"].to_pylist()
         out_li, out_pts = [], []
         for s, e in zip(bounds[:-1], bounds[1:]):
-            polylines = [np.array(json.loads(p), np.float64)
-                         for p in g["pts"].iloc[s:e]]
+            polylines = [np.array(json.loads(p), np.float64) for p in pts[s:e]]
             for line in _join_polylines(polylines):
-                out_li.append(int(g["level_i"].iloc[s]))
+                out_li.append(int(level_i[s]))
                 out_pts.append(json.dumps(line.tolist()))
-        return pd.DataFrame({"level_i": out_li, "pts": out_pts})
+        return pa.table({"level_i": pa.array(out_li, pa.int64()),
+                         "pts": pa.array(out_pts, pa.string())})
 
-    joined = (
-        lines.map_batches(relabel, batch_format="pyarrow", batch_size=None)
-        .groupby("part").map_groups(join_partition, batch_format="pandas")
-    )
+    joined = hash_partition_reduce(
+        lines.map_batches(relabel, batch_format="pyarrow", batch_size=None),
+        ["root"], join_partition, num_parts=default_num_parts())
     out = []
     for b in joined.iter_batches(batch_size=None, batch_format="pyarrow"):
         for li, pj in zip(b["level_i"].to_pylist(), b["pts"].to_pylist()):

@@ -20,7 +20,8 @@ import numpy as np
 import pandas as pd
 import pyarrow as pa
 
-from gdal_ray.util import pd_to_arrow as _pd2pa
+from gdal_ray.ops.relational import hash_partition_reduce
+from gdal_ray.util import FNV_OFFSET, FNV_PRIME, default_num_parts, pd_to_arrow as _pd2pa
 import pyarrow.compute as pc
 
 from gdal_ray.geo import webmercator as wm
@@ -50,21 +51,12 @@ def points_to_tile_counts(ds, zoom: int, *, lon_col="lon", lat_col="lat"):
 
     partials = ds.map_batches(partial, batch_format="pyarrow", batch_size=None)
 
-    # hash-partitioned densify: tiles hash into P partitions (one narrow
-    # int64 shuffle key) and each partition densifies ALL its tiles with a
-    # sorted boundary scan — per-tile map_groups was one pandas slice per
-    # tile, seconds of overhead at thousands of tiles
-    from gdal_ray.util import default_num_parts
-    P = default_num_parts()
-
-    def add_part(t: pa.Table) -> pa.Table:
-        tx = t["tile_x"].to_numpy(zero_copy_only=False)
-        ty = t["tile_y"].to_numpy(zero_copy_only=False)
-        part = ((tx * 73856093) ^ (ty * 19349663)) % P
-        return t.append_column("part", pa.array(part.astype(np.int64)))
-
-    def densify_partition(g: pd.DataFrame) -> pd.DataFrame:
-        g = g.sort_values(["tile_x", "tile_y"], kind="mergesort").reset_index(drop=True)
+    # hash-partitioned densify: tiles hash into P partitions and each
+    # partition densifies ALL its tiles with a sorted boundary scan —
+    # per-tile map_groups was one slice per tile, seconds of overhead at
+    # thousands of tiles
+    def densify_partition(g: pa.Table) -> pa.Table:
+        g = g.sort_by([("tile_x", "ascending"), ("tile_y", "ascending")])
         tx = g["tile_x"].to_numpy()
         ty = g["tile_y"].to_numpy()
         pix = g["pix"].to_numpy()
@@ -82,12 +74,11 @@ def points_to_tile_counts(ds, zoom: int, *, lon_col="lon", lat_col="lat"):
             rows["data"].append(arr.tobytes())
             rows["n_points"].append(int(n[s:e].sum()))
             rows["checksum"].append(_checksum(arr.reshape(TILE, TILE)))
-        return pd.DataFrame(rows)
+        return pa.table(rows)
 
-    return (
-        partials.map_batches(add_part, batch_format="pyarrow", batch_size=None)
-        .groupby("part").map_groups(densify_partition, batch_format="pandas")
-    )
+    return hash_partition_reduce(partials, ["tile_x", "tile_y"],
+                                 densify_partition,
+                                 num_parts=default_num_parts())
 
 
 def encode_tiles_png(tiles_ds, *, dtype=np.uint32, mode: str = "gray16"):
@@ -340,14 +331,10 @@ def burn_features_to_tiles(ds, zoom: int, *, wkb_col="geometry",
     )
 
 
-_FNV_OFFSET = np.uint64(0xCBF29CE484222325)
-_FNV_PRIME = np.uint64(0x100000001B3)
-
-
 def _fnv_binary_prefix(col, max_bytes: int = 64) -> np.ndarray:
     """FNV-1a 64 over the first max_bytes of each binary value plus its
     length, vectorized across rows via the Arrow (offsets, data) buffers
-    (same per-byte-position fold as text/dedup._hash_tokens_fnv, bounded
+    (same per-byte-position fold as util.hash_tokens_fnv, bounded
     so huge geometries don't stretch the loop)."""
     arr = col.combine_chunks() if isinstance(col, pa.ChunkedArray) else col
     n = len(arr)
@@ -358,14 +345,14 @@ def _fnv_binary_prefix(col, max_bytes: int = 64) -> np.ndarray:
     data = np.frombuffer(arr.buffers()[2], dtype=np.uint8)
     starts = offsets[:-1]
     lengths = offsets[1:] - starts
-    h = np.full(n, _FNV_OFFSET, dtype=np.uint64)
+    h = np.full(n, FNV_OFFSET, dtype=np.uint64)
     cap = int(min(lengths.max(), max_bytes)) if n else 0
     with np.errstate(over="ignore"):
         for j in range(cap):
             m = lengths > j
             b = data[np.minimum(starts + j, data.size - 1)].astype(np.uint64)
-            h = np.where(m, (h ^ b) * _FNV_PRIME, h)
-        h = (h ^ lengths.astype(np.uint64)) * _FNV_PRIME
+            h = np.where(m, (h ^ b) * FNV_PRIME, h)
+        h = (h ^ lengths.astype(np.uint64)) * FNV_PRIME
     return h
 
 
@@ -410,32 +397,25 @@ def overview_reduce(tiles_ds, *, dtype=np.uint32, agg: str = "sum"):
     shifted = tiles_ds.map_batches(shift, batch_format="pyarrow", batch_size=None)
 
     # hash-partitioned compose (same rationale as the densify partition scan)
-    from gdal_ray.util import default_num_parts
-    P = default_num_parts()
-
-    def add_part(t: pa.Table) -> pa.Table:
-        px = t["p_x"].to_numpy(zero_copy_only=False)
-        py = t["p_y"].to_numpy(zero_copy_only=False)
-        part = ((px * 73856093) ^ (py * 19349663)) % P
-        return t.append_column("part", pa.array(part.astype(np.int64)))
-
-    def compose_partition(g: pd.DataFrame) -> pd.DataFrame:
-        g = g.sort_values(["p_x", "p_y"], kind="mergesort").reset_index(drop=True)
+    def compose_partition(g: pa.Table) -> pa.Table:
+        g = g.sort_by([("p_x", "ascending"), ("p_y", "ascending")])
         pxa = g["p_x"].to_numpy()
         pya = g["p_y"].to_numpy()
         key_change = np.nonzero((pxa[1:] != pxa[:-1]) | (pya[1:] != pya[:-1]))[0] + 1
         bounds = np.concatenate([[0], key_change, [len(g)]])
+        zoom, txa, tya, data = (g[c].to_pylist()
+                                for c in ("zoom", "tile_x", "tile_y", "data"))
         rows = {"zoom": [], "tile_x": [], "tile_y": [], "data": [],
                 "n_points": [], "checksum": []}
         for s, e in zip(bounds[:-1], bounds[1:]):
-            z = int(g["zoom"].iloc[s]) - 1
+            z = zoom[s] - 1
             parent = np.zeros((TILE, TILE), dtype=np.float64)
             for i in range(s, e):
-                child = np.frombuffer(g["data"].iloc[i], dtype=dtype).reshape(TILE, TILE)
+                child = np.frombuffer(data[i], dtype=dtype).reshape(TILE, TILE)
                 r = child.reshape(TILE // 2, 2, TILE // 2, 2).astype(np.float64)
                 small = _reduce2x2(r, agg)
-                ox = (int(g["tile_x"].iloc[i]) & 1) * (TILE // 2)
-                oy = (int(g["tile_y"].iloc[i]) & 1) * (TILE // 2)
+                ox = (txa[i] & 1) * (TILE // 2)
+                oy = (tya[i] & 1) * (TILE // 2)
                 parent[oy : oy + TILE // 2, ox : ox + TILE // 2] = small
             arr = parent.astype(dtype)
             rows["zoom"].append(z)
@@ -444,12 +424,10 @@ def overview_reduce(tiles_ds, *, dtype=np.uint32, agg: str = "sum"):
             rows["data"].append(arr.tobytes())
             rows["n_points"].append(int(parent.sum()) if agg == "sum" else 0)
             rows["checksum"].append(_checksum(arr))
-        return pd.DataFrame(rows)
+        return pa.table(rows)
 
-    return (
-        shifted.map_batches(add_part, batch_format="pyarrow", batch_size=None)
-        .groupby("part").map_groups(compose_partition, batch_format="pandas")
-    )
+    return hash_partition_reduce(shifted, ["p_x", "p_y"], compose_partition,
+                                 num_parts=default_num_parts())
 
 
 def band_histogram(tiles_ds, *, dtype=np.uint32, nbuckets: int = 256,
@@ -1474,8 +1452,6 @@ def _polygonize_root_map(pair_refs):
 
     uf = UnionFind()
     for t in ray.get(list(pair_refs)):
-        if isinstance(t, pd.DataFrame):
-            t = _pd2pa(t, preserve_index=False)
         if t.num_rows == 0:
             continue
         for ta, ya, la, tb, yb, lb in zip(
@@ -1494,16 +1470,16 @@ def polygonize_tiles_ds(tiles_ds, *, connectivity: int = 4, nodata=None,
     Plan (all heavy stages are Ray Data operators — VERDICT r1 item 5):
       1. map_batches(extract): per-tile labeling -> edge + border rows (the
          compressed boundary representation; the raster never leaves stage 1)
-      2. border pairing: groupby(side key) emits label-equivalence pairs
+      2. border pairing: hash_partition_reduce by side key emits
+         label-equivalence pairs
       3. union-find over ONLY the pairs (tiny: O(shared-border regions)) in
          ONE Ray task; the driver holds only the (tile,label)->root map's
          ObjectRef, which broadcasts to the relabel stage
-      4. map_batches(relabel) + groupby(root).map_groups(stitch): opposite
+      4. map_batches(relabel) + hash_partition_reduce by root: opposite
          interior edges cancel, each component stitches its rings in its own
          task
     Returns [(value, rings)] — the stitched component list (small output).
     """
-    import pandas as pd
     import ray
 
     def extract(t: pa.Table) -> pa.Table:
@@ -1532,39 +1508,28 @@ def polygonize_tiles_ds(tiles_ds, *, connectivity: int = 4, nodata=None,
     # A side key must meet its twin in ONE task, but one task per key would
     # be millions of tiny groups; instead keys hash into P partitions and
     # each partition pairs ALL its keys vectorized (sort + adjacent-compare).
-    from gdal_ray.util import default_num_parts
     P = default_num_parts()
 
-    def borders_parted(t: pa.Table) -> pa.Table:
-        t = t.filter(pa.compute.equal(t["kind"], 1))
-        orient = t["ax"].to_numpy(zero_copy_only=False)
-        gx = t["ay"].to_numpy(zero_copy_only=False)
-        gy = t["bx"].to_numpy(zero_copy_only=False)
-        part = ((orient * 73856093) ^ (gx * 19349663) ^ (gy * 83492791)) % P
+    def borders(t: pa.Table) -> pa.Table:
+        t = t.filter(pc.equal(t["kind"], 1))
         return pa.table({
-            "part": pa.array(part.astype(np.int64)),
-            "orient": pa.array(orient), "gx": pa.array(gx), "gy": pa.array(gy),
+            "orient": t["ax"], "gx": t["ay"], "gy": t["bx"],
             "value": t["value"], "tx": t["tx"], "ty": t["ty"], "lab": t["lab"],
         })
 
-    def pair_partition(g: pd.DataFrame) -> pd.DataFrame:
-        borders = {k: g[k].to_numpy() for k in
-                   ("orient", "gx", "gy", "value", "tx", "ty", "lab")}
-        pairs = _pair_equivalences(borders)
-        if not pairs:
-            return pd.DataFrame({c: pd.Series(dtype=np.int64) for c in
-                                 ("tx_a", "ty_a", "lab_a", "tx_b", "ty_b", "lab_b")})
-        a, b = zip(*pairs)
-        a, b = np.asarray(a), np.asarray(b)
-        return pd.DataFrame({
-            "tx_a": a[:, 0], "ty_a": a[:, 1], "lab_a": a[:, 2],
-            "tx_b": b[:, 0], "ty_b": b[:, 1], "lab_b": b[:, 2],
-        })
+    pair_cols = ("tx_a", "ty_a", "lab_a", "tx_b", "ty_b", "lab_b")
 
-    pairs_ds = (
-        pieces.map_batches(borders_parted, batch_format="pyarrow", batch_size=None)
-        .groupby("part").map_groups(pair_partition, batch_format="pandas")
-    )
+    def pair_partition(g: pa.Table) -> pa.Table:
+        pairs = _pair_equivalences({k: g[k].to_numpy() for k in g.column_names})
+        if not pairs:
+            return pa.table({c: pa.array([], pa.int64()) for c in pair_cols})
+        ab = np.concatenate([np.asarray(x) for x in zip(*pairs)], axis=1)
+        return pa.table({c: pa.array(ab[:, i].astype(np.int64))
+                         for i, c in enumerate(pair_cols)})
+
+    pairs_ds = hash_partition_reduce(
+        pieces.map_batches(borders, batch_format="pyarrow", batch_size=None),
+        ["orient", "gx", "gy"], pair_partition, num_parts=P)
 
     # --- stage 3: union-find over ONLY the equivalence pairs, run as ONE
     # Ray task (pairs are tiny relative to pixels but unbounded at 100-TB
@@ -1575,38 +1540,35 @@ def polygonize_tiles_ds(tiles_ds, *, connectivity: int = 4, nodata=None,
 
     # --- stage 4: relabel + component stitch, hash-partitioned by root --
     def relabel(t: pa.Table) -> pa.Table:
-        t = t.filter(pa.compute.equal(t["kind"], 0))
+        t = t.filter(pc.equal(t["kind"], 0))
         rm = ray.get(map_ref)
         keys = zip(t["tx"].to_pylist(), t["ty"].to_pylist(), t["lab"].to_pylist())
-        roots = [rm.get(k) or str(k) for k in keys]
-        part = pd.util.hash_pandas_object(
-            pd.Series(roots), index=False
-        ).to_numpy() % np.uint64(P)
         return pa.table({
-            "part": pa.array(part.astype(np.int64)),
-            "root": pa.array(roots), "value": t["value"],
+            "root": pa.array([rm.get(k) or str(k) for k in keys], pa.string()),
+            "value": t["value"],
             "ax": t["ax"], "ay": t["ay"], "bx": t["bx"], "by": t["by"],
         })
 
-    def stitch_partition(g: pd.DataFrame) -> pd.DataFrame:
+    def stitch_partition(g: pa.Table) -> pa.Table:
         import json
 
-        g = g.sort_values("root", kind="mergesort").reset_index(drop=True)
+        g = g.sort_by("root")
         roots = g["root"].to_numpy()
         bounds = np.concatenate([[0], np.nonzero(roots[1:] != roots[:-1])[0] + 1, [len(g)]])
         arrs = {k: g[k].to_numpy() for k in ("ax", "ay", "bx", "by")}
+        value = g["value"].to_numpy()
         vals, rings_out = [], []
         for s, e in zip(bounds[:-1], bounds[1:]):
             comp = {k: v[s:e] for k, v in arrs.items()}
             rings = _stitch_component(comp, connectivity)
-            vals.append(float(g["value"].iloc[s]))
+            vals.append(float(value[s]))
             rings_out.append(json.dumps([np.asarray(r).tolist() for r in rings]))
-        return pd.DataFrame({"value": vals, "rings": rings_out})
+        return pa.table({"value": pa.array(vals, pa.float64()),
+                         "rings": pa.array(rings_out, pa.string())})
 
-    stitched = (
-        pieces.map_batches(relabel, batch_format="pyarrow", batch_size=None)
-        .groupby("part").map_groups(stitch_partition, batch_format="pandas")
-    )
+    stitched = hash_partition_reduce(
+        pieces.map_batches(relabel, batch_format="pyarrow", batch_size=None),
+        ["root"], stitch_partition, num_parts=P)
     import json
 
     out = []

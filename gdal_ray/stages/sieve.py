@@ -25,10 +25,11 @@ from __future__ import annotations
 from collections import defaultdict
 
 import numpy as np
-import pandas as pd
 import pyarrow as pa
+import pyarrow.compute as pc
 
-from gdal_ray.util import pd_to_arrow as _pd2pa
+from gdal_ray.ops.relational import hash_partition_reduce
+from gdal_ray.util import default_num_parts
 
 from gdal_ray.raster.polygonize import UnionFind, label_array
 
@@ -102,8 +103,6 @@ def _sieve_component_merge(threshold, pair_refs, piece_refs):
     uf = UnionFind()
     cross_adj = []
     for t in pair_tables:
-        if isinstance(t, pd.DataFrame):
-            t = _pd2pa(t, preserve_index=False)
         if t.num_rows == 0:
             continue
         eqs = t["eq"].to_pylist()
@@ -267,27 +266,14 @@ def sieve_tiles_ds(tiles_ds, threshold: int, *, connectivity: int = 4,
 
     pieces = tiles_ds.map_batches(extract, batch_format="pyarrow", batch_size=None).materialize()
 
-    # border pairing (hash-partitioned): equal values -> equivalence;
-    # different values -> cross-tile adjacency
-    from gdal_ray.util import default_num_parts
-    P = default_num_parts()
+    def borders(t: pa.Table) -> pa.Table:
+        t = t.filter(pc.equal(t["kind"], 2))
+        return t.select(["o", "gx", "gy", "value", "tx", "ty", "lab", "ghost"])
 
-    def borders_parted(t: pa.Table) -> pa.Table:
-        t = t.filter(pa.compute.equal(t["kind"], 2))
-        o = t["o"].to_numpy(zero_copy_only=False)
-        gx = t["gx"].to_numpy(zero_copy_only=False)
-        gy = t["gy"].to_numpy(zero_copy_only=False)
-        part = ((o * 73856093) ^ (gx * 19349663) ^ (gy * 83492791)) % P
-        return pa.table({
-            "part": pa.array(part.astype(np.int64)),
-            "o": t["o"], "gx": t["gx"], "gy": t["gy"], "value": t["value"],
-            "tx": t["tx"], "ty": t["ty"], "lab": t["lab"], "ghost": t["ghost"],
-        })
-
-    def pair_partition(g: pd.DataFrame) -> pd.DataFrame:
-        g = g.sort_values(["o", "gx", "gy", "ghost", "tx", "ty"],
-                          kind="mergesort").reset_index(drop=True)
-        key = g[["o", "gx", "gy"]].to_numpy()
+    def pair_partition(g: pa.Table) -> pa.Table:
+        g = g.sort_by([(c, "ascending")
+                       for c in ("o", "gx", "gy", "ghost", "tx", "ty")])
+        key = np.stack([g[c].to_numpy() for c in ("o", "gx", "gy")], axis=1)
         va = g["value"].to_numpy()
         gh = g["ghost"].to_numpy()
         cols = {n: g[n].to_numpy() for n in ("tx", "ty", "lab")}
@@ -317,13 +303,15 @@ def sieve_tiles_ds(tiles_ds, threshold: int, *, connectivity: int = 4,
                 out[f"{n}_a"].append(arr_[a])
                 out[f"{n}_b"].append(arr_[b])
         if not out["eq"]:
-            return pd.DataFrame({k: np.array([], np.int64) for k in out})
-        return pd.DataFrame({k: np.concatenate(v) for k, v in out.items()})
+            return pa.table({k: pa.array([], pa.int8() if k == "eq" else pa.int64())
+                             for k in out})
+        return pa.table({k: pa.array(np.concatenate(v)) for k, v in out.items()})
 
-    pairs_ds = (
-        pieces.map_batches(borders_parted, batch_format="pyarrow", batch_size=None)
-        .groupby("part").map_groups(pair_partition, batch_format="pandas")
-    )
+    # border pairing (hash-partitioned): equal values -> equivalence;
+    # different values -> cross-tile adjacency
+    pairs_ds = hash_partition_reduce(
+        pieces.map_batches(borders, batch_format="pyarrow", batch_size=None),
+        ["o", "gx", "gy"], pair_partition, num_parts=default_num_parts())
 
     # The pairs -> remap reduce is a pure function of the (small) component
     # graph, but at 100-TB raster scale the pair list is unbounded — run it

@@ -48,15 +48,15 @@ __all__ = ["bpe_train", "bpe_encode", "BpeEncoder"]
 def _word_counts(ds, text_col: str, num_parts: int):
     """(word, cnt) vocabulary Dataset: whitespace split fan-out per batch,
     per-batch partial counts, ONE hash-merge shuffle of (word, count)."""
-    from gdal_ray.ops.relational import groupby_agg
+    from gdal_ray.ops.relational import arrow_group_by, groupby_agg
 
     def split(t: pa.Table) -> pa.Table:
         la = pc.list_flatten(pc.utf8_split_whitespace(t[text_col]))
         la = la.filter(pc.not_equal(la, ""))
         ones = pa.array(np.ones(len(la), dtype=np.int64))
         part = pa.table({"word": la, "__c": ones})
-        return part.group_by(["word"], use_threads=False).aggregate(
-            [("__c", "sum")]).rename_columns(["word", "cnt"])
+        return arrow_group_by(part, ["word"], [("__c", "sum")]).rename_columns(
+            ["word", "cnt"])
 
     parts = ds.map_batches(split, batch_format="pyarrow", batch_size=None)
     return groupby_agg(parts, ["word"], [("cnt", "sum", "cnt")],

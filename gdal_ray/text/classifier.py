@@ -5,7 +5,7 @@ web documents against a curated seed set.
 
 Ray-Data-first design:
 - Features are the hashing trick (FNV-1a over words, reusing the
-  vectorized per-byte-position FNV from text/dedup) into `dim` buckets,
+  vectorized per-byte-position FNV, util.hash_tokens_fnv) into `dim` buckets,
   L2-normalized counts. Feature extraction is a pure numpy kernel per
   batch — the corpus never leaves its blocks.
 - Training is full-batch gradient descent: each block emits ONE dense
@@ -28,7 +28,7 @@ import numpy as np
 import pyarrow as pa
 import pyarrow.compute as pc
 
-from gdal_ray.text.dedup import _hash_tokens_fnv
+from gdal_ray.util import hash_tokens_fnv
 
 __all__ = ["train_quality_classifier", "score_quality", "hashed_features"]
 
@@ -52,7 +52,7 @@ def hashed_features(texts, dim: int):
     if len(flat) == 0:
         return (np.empty(0, np.int64), np.empty(0, np.int64),
                 np.empty(0, np.float64), n_docs)
-    bucket = (_hash_tokens_fnv(flat) % np.uint64(dim)).astype(np.int64)
+    bucket = (hash_tokens_fnv(flat) % np.uint64(dim)).astype(np.int64)
     # accumulate duplicate (doc, bucket) pairs
     key = word_doc * dim + bucket
     uniq, counts = np.unique(key, return_counts=True)
@@ -105,7 +105,7 @@ def train_quality_classifier(ds, label_col: str, text_col: str = "text",
             g[dim] = resid.sum()
             # deterministic partial-merge order: tag each block by the
             # FNV of its first text (stable for stable block layout)
-            tag = (int(_hash_tokens_fnv(t[text_col].slice(0, 1))[0]
+            tag = (int(hash_tokens_fnv(t[text_col].slice(0, 1))[0]
                        & np.uint64(0x7FFFFFFFFFFFFFFF)) if n else 0)
             return pa.table({
                 "tag": pa.array([tag], pa.int64()),

@@ -21,41 +21,7 @@ import pyarrow.compute as pc
 
 from gdal_ray.ops.relational import distinct, first_by
 from gdal_ray.text.analysis import add_fingerprint
-
-_MASK = np.uint64(0xFFFFFFFFFFFFFFFF)
-_FNV_OFFSET = np.uint64(0xCBF29CE484222325)
-_FNV_PRIME = np.uint64(0x100000001B3)
-
-
-def _hash_tokens_fnv(tokens) -> np.ndarray:
-    """FNV-1a 64 over utf-8 token bytes — VECTORIZED across tokens.
-
-    The Arrow string array gives (offsets, data) zero-copy; the sequential
-    per-byte recurrence h = (h ^ b) * prime runs as one numpy op per BYTE
-    POSITION (max token length iterations), not per byte: byte j of every
-    token is folded simultaneously. Bit-identical to the scalar FNV-1a loop
-    (numpy uint64 multiply wraps mod 2^64)."""
-    if not isinstance(tokens, (pa.Array, pa.ChunkedArray)):
-        arr = pa.array(tokens, type=pa.string())
-    else:
-        arr = tokens.combine_chunks() if isinstance(tokens, pa.ChunkedArray) else tokens
-    n = len(arr)
-    if n == 0:
-        return np.empty(0, dtype=np.uint64)
-    offsets = np.frombuffer(arr.buffers()[1], dtype=np.int32,
-                            count=n + 1, offset=arr.offset * 4).astype(np.int64)
-    data = np.frombuffer(arr.buffers()[2], dtype=np.uint8)
-    starts = offsets[:-1]
-    lengths = offsets[1:] - starts
-    h = np.full(n, _FNV_OFFSET, dtype=np.uint64)
-    max_len = int(lengths.max()) if n else 0
-    with np.errstate(over="ignore"):
-        for j in range(max_len):
-            m = lengths > j
-            b = data[np.minimum(starts + j, data.size - 1)].astype(np.uint64)
-            h = np.where(m, (h ^ b) * _FNV_PRIME, h)
-    return h
-
+from gdal_ray.util import FNV_OFFSET, FNV_PRIME, hash_tokens_fnv
 
 _SHINGLE_MIX = np.uint64(1000003)
 
@@ -77,11 +43,11 @@ def _shingle_hashes(text: str, w: int) -> np.ndarray:
     tokens = text.split()
     if len(tokens) < w:
         tokens = tokens + ["\x00"] * (w - len(tokens))
-    return np.unique(_rolling_shingles(_hash_tokens_fnv(tokens), w))
+    return np.unique(_rolling_shingles(hash_tokens_fnv(tokens), w))
 
 
 # FNV-1a of the "\x00" pad token — (offset ^ 0) * prime mod 2^64
-_PAD_HASH = np.uint64((int(_FNV_OFFSET) * int(_FNV_PRIME)) & (1 << 64) - 1)
+_PAD_HASH = np.uint64((int(FNV_OFFSET) * int(FNV_PRIME)) & (1 << 64) - 1)
 
 
 def _tokenize_whitespace(texts):
@@ -112,7 +78,7 @@ def _tokenize_whitespace(texts):
             vals = vals.filter(ne_mask)
     else:
         ntok = np.zeros(len(texts), np.int64)
-    return _hash_tokens_fnv(vals), ntok
+    return hash_tokens_fnv(vals), ntok
 
 
 def _batch_shingles(texts, w: int):
@@ -252,7 +218,7 @@ def minhash_bands(ds, id_col: str, *, num_perm=128, bands=16, text_col="text", s
                 seg = sig[:, bnd * rows_per_band : (bnd + 1) * rows_per_band]
                 h = np.full(n, 14695981039346656037, dtype=np.uint64)
                 for r in range(rows_per_band):
-                    h = (h ^ seg[:, r]) * _FNV_PRIME
+                    h = (h ^ seg[:, r]) * FNV_PRIME
                 bh[:, bnd] = h
         return pa.table(
             {

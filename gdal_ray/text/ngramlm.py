@@ -26,7 +26,7 @@ import numpy as np
 import pyarrow as pa
 import pyarrow.compute as pc
 
-from gdal_ray.text.dedup import _hash_tokens_fnv
+from gdal_ray.util import hash_tokens_fnv
 
 __all__ = ["bigram_lm_score"]
 
@@ -47,7 +47,7 @@ def _adjacencies(t: pa.Table, text_col: str, id_col):
     keep_np = keep.to_numpy(zero_copy_only=False)
     flat = flat.filter(keep)
     doc_of = doc_of[keep_np]
-    h = _hash_tokens_fnv(flat)
+    h = hash_tokens_fnv(flat)
     # adjacency: positions i, i+1 in the SAME doc
     same = doc_of[1:] == doc_of[:-1] if len(doc_of) > 1 else \
         np.zeros(0, bool)

@@ -30,8 +30,8 @@ import numpy as np
 import pyarrow as pa
 import pyarrow.compute as pc
 
-from gdal_ray.ops.relational import hash_partition_reduce
-from gdal_ray.text.dedup import _hash_tokens_fnv
+from gdal_ray.ops.relational import arrow_group_by, hash_partition_reduce
+from gdal_ray.util import hash_tokens_fnv
 
 
 def _batch_tokens(texts):
@@ -96,7 +96,7 @@ def document_frequencies(ds, text_col: str = "text"):
     parts = ds.map_batches(partial, batch_format="pyarrow", batch_size=None)
 
     def reduce_tbl(t: pa.Table) -> pa.Table:
-        return pa.TableGroupBy(t, "term").aggregate([("df", "sum")]) \
+        return arrow_group_by(t, ["term"], [("df", "sum")]) \
             .rename_columns(["term", "df"])
 
     return hash_partition_reduce(parts, ["term"], reduce_tbl)
@@ -117,7 +117,7 @@ def tfidf_top_terms(ds, text_col: str = "text", id_col: str = "doc_id",
     if isinstance(terms, pa.ChunkedArray):
         terms = pa.concat_arrays(terms.chunks) if terms.num_chunks else \
             pa.array([], pa.string())
-    hashes = _hash_tokens_fnv(terms)
+    hashes = hash_tokens_fnv(terms)
     dfs = dft["df"].to_numpy(zero_copy_only=False).astype(np.int64)
     order = np.argsort(hashes, kind="stable")
     ref = ray.put((np.ascontiguousarray(hashes[order]),
@@ -141,7 +141,7 @@ def tfidf_top_terms(ds, text_col: str = "text", id_col: str = "doc_id",
         if len(vals) == 0:
             return empty
         gdoc, gcode, tf, dictionary = _group_doc_word(vals, doc_of)
-        dh = _hash_tokens_fnv(dictionary)
+        dh = hash_tokens_fnv(dictionary)
         idx = np.minimum(np.searchsorted(hs, dh), max(hs.size - 1, 0))
         df_of_code = np.where(hs.size > 0, hdf[idx], 0)
         hit = (hs.size > 0) & (hs[idx] == dh)

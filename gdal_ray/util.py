@@ -6,6 +6,7 @@ import os
 
 import numpy as np
 import pyarrow as pa
+import pyarrow.compute as pc
 
 #: GDAL's Arrow export batches default to 65,536 features
 #: (ogr/ogrsf_frmts/generic/ogrlayerarrow.cpp:2078-2082 MAX_FEATURES_IN_BATCH);
@@ -146,6 +147,105 @@ def splitmix64(x: np.ndarray) -> np.ndarray:
         z = (z ^ (z >> np.uint64(30))) * np.uint64(0xBF58476D1CE4E5B9)
         z = (z ^ (z >> np.uint64(27))) * np.uint64(0x94D049BB133111EB)
         return z ^ (z >> np.uint64(31))
+
+
+FNV_OFFSET = np.uint64(0xCBF29CE484222325)
+FNV_PRIME = np.uint64(0x100000001B3)
+
+
+def hash_tokens_fnv(tokens) -> np.ndarray:
+    """FNV-1a 64 over utf-8 token bytes — VECTORIZED across tokens.
+
+    The Arrow string array gives (offsets, data) zero-copy; the sequential
+    per-byte recurrence h = (h ^ b) * prime runs as one numpy op per BYTE
+    POSITION (max token length iterations), not per byte: byte j of every
+    token is folded simultaneously. Bit-identical to the scalar FNV-1a loop
+    (numpy uint64 multiply wraps mod 2^64)."""
+    if not isinstance(tokens, (pa.Array, pa.ChunkedArray)):
+        arr = pa.array(tokens, type=pa.string())
+    else:
+        arr = tokens.combine_chunks() if isinstance(tokens, pa.ChunkedArray) else tokens
+    n = len(arr)
+    if n == 0:
+        return np.empty(0, dtype=np.uint64)
+    offsets = np.frombuffer(arr.buffers()[1], dtype=np.int32,
+                            count=n + 1, offset=arr.offset * 4).astype(np.int64)
+    data = np.frombuffer(arr.buffers()[2], dtype=np.uint8)
+    starts = offsets[:-1]
+    lengths = offsets[1:] - starts
+    h = np.full(n, FNV_OFFSET, dtype=np.uint64)
+    max_len = int(lengths.max()) if n else 0
+    with np.errstate(over="ignore"):
+        for j in range(max_len):
+            m = lengths > j
+            b = data[np.minimum(starts + j, data.size - 1)].astype(np.uint64)
+            h = np.where(m, (h ^ b) * FNV_PRIME, h)
+    return h
+
+
+#: the hash of a null key of any type: FNV-1a of the text "None", which is
+#: what a null string has always hashed to in the sketches
+NULL_HASH = hash_tokens_fnv(["None"])[0]
+
+
+def _is_bytes(typ: pa.DataType) -> bool:
+    return (pa.types.is_string(typ) or pa.types.is_large_string(typ)
+            or pa.types.is_binary(typ) or pa.types.is_large_binary(typ))
+
+
+def value_hash(col) -> np.ndarray:
+    """64-bit hash of each value of one column, a function of the value
+    alone (never of the block, the integer width or the null mix):
+    integers, bools and temporals by value through splitmix64 (nulls are
+    filled before to_numpy, so int64 above 2^53 stays exact); floats by
+    their float64 bit pattern with -0.0 and NaN made canonical;
+    strings/binary by FNV-1a of their bytes; any other type by FNV-1a of
+    its Arrow string cast. A null of any type hashes to NULL_HASH."""
+    col = col.combine_chunks() if isinstance(col, pa.ChunkedArray) else col
+    if pa.types.is_dictionary(col.type):
+        col = col.dictionary_decode()
+    if pa.types.is_boolean(col.type) or pa.types.is_temporal(col.type):
+        width = getattr(col.type, "bit_width", 64)
+        col = col.cast(pa.int32() if width == 32 else pa.int64())
+    if pa.types.is_integer(col.type):
+        v = pc.fill_null(col, 0).to_numpy(zero_copy_only=False)
+        h = splitmix64(v.astype(np.int64))
+    elif pa.types.is_floating(col.type):
+        v = pc.fill_null(col.cast(pa.float64()), 0.0).to_numpy(
+            zero_copy_only=False) + 0.0  # -0.0 + 0.0 == +0.0
+        v[np.isnan(v)] = np.nan
+        h = splitmix64(v.view(np.int64))
+    else:
+        binary = pa.types.is_binary(col.type) or pa.types.is_large_binary(col.type)
+        col = col.cast(pa.binary() if binary else pa.string())
+        h = hash_tokens_fnv(pc.fill_null(col, pa.scalar(b"", col.type)))
+    if col.null_count:
+        h[~col.is_valid().to_numpy(zero_copy_only=False)] = NULL_HASH
+    return h
+
+
+def hash_column(col) -> np.ndarray:
+    """64-bit hash per row for the sketches and Bloom filters: value_hash
+    for integer/string/binary columns, FNV-1a over str(value) for any other
+    type. A null hashes as the text "None", so sketches count it as one
+    value."""
+    typ = col.type.value_type if pa.types.is_dictionary(col.type) else col.type
+    if pa.types.is_integer(typ) or _is_bytes(typ):
+        return value_hash(col)
+    return hash_tokens_fnv([str(v) for v in col.to_pylist()])
+
+
+def partition_ids(t: pa.Table, keys, num_parts: int) -> np.ndarray:
+    """int64 partition id in [0, num_parts) per row: the value_hash of each
+    key column, folded with splitmix64 across columns, mod num_parts. It
+    depends on the key values alone, so equal keys meet in one partition
+    whatever block, integer width or null mix they arrive in; a single
+    integer key gives exactly splitmix64(value) % num_parts."""
+    h = np.zeros(t.num_rows, dtype=np.uint64)
+    for i, k in enumerate(keys):
+        hk = value_hash(t[k])
+        h = hk if i == 0 else splitmix64(h) ^ hk
+    return (h % np.uint64(num_parts)).astype(np.int64)
 
 
 def pd_to_arrow(df, preserve_index: bool = False) -> pa.Table:

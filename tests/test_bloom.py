@@ -7,8 +7,7 @@ import ray.data as rd
 
 from gdal_ray.ops.bloom import (bloom_build, bloom_contains, bloom_flag,
                                 bloom_semi_join)
-from gdal_ray.ops.sketch import _hash_col
-from gdal_ray.util import sf_path, to_arrow
+from gdal_ray.util import hash_column, sf_path, to_arrow
 
 
 def test_bloom_no_false_negatives_and_fpr(ray_session):
@@ -17,11 +16,11 @@ def test_bloom_no_false_negatives_and_fpr(ray_session):
     ds = rd.from_arrow(pa.table({"key": members})).repartition(7)
     bits = bloom_build(ds, "key", num_bits=1 << 18, k=6)
     t_mem = pa.table({"key": members})
-    assert bloom_contains(bits, _hash_col(t_mem, "key"), 6).all()
+    assert bloom_contains(bits, hash_column(t_mem["key"]), 6).all()
     # disjoint probe set -> every hit is a false positive
     probe = np.unique(rng.randint(1 << 41, 1 << 42, 30000))
     t_pr = pa.table({"key": probe})
-    fpr = bloom_contains(bits, _hash_col(t_pr, "key"), 6).mean()
+    fpr = bloom_contains(bits, hash_column(t_pr["key"]), 6).mean()
     # theoretical ~ (1-exp(-kn/m))^k ~= 0.0075 at n=20k m=262144 k=6
     assert fpr < 0.03, fpr
 
@@ -51,7 +50,7 @@ def _fnv1a_loop(values) -> np.ndarray:
         "dict", "chunked"])
 def test_hash_col_matches_scalar_fnv(arr):
     t = pa.table({"c": arr})
-    assert np.array_equal(_hash_col(t, "c"), _fnv1a_loop(t["c"].to_pylist()))
+    assert np.array_equal(hash_column(t["c"]), _fnv1a_loop(t["c"].to_pylist()))
 
 
 def test_bloom_flag_strings(ray_session, sf_dir):

@@ -285,6 +285,31 @@ def test_pagerank_checkpoint_resume(ray_session, tmp_path):
                  checkpoint_dir=cp).count()
 
 
+def test_pagerank_checkpoint_other_node_ids_raise(ray_session, tmp_path):
+    """A checkpoint partition with the run's sizes but other node ids is
+    refused, not re-aligned onto the wrong ranks."""
+    import pyarrow.compute as pc
+    import pyarrow.parquet as pq
+    import pytest
+
+    from gdal_ray.ops.graph import pagerank
+
+    rng = np.random.default_rng(9)
+    edges = pa.table({"src": rng.integers(0, 200, 2000),
+                      "dst": rng.integers(0, 200, 2000)})
+    cp = str(tmp_path / "cp")
+    pagerank(rd.from_arrow(edges), max_iters=2, tol=0.0, num_parts=4,
+             checkpoint_dir=cp)
+    part = f"{cp}/iter_0002/part_0.parquet"
+    t = pq.read_table(part)
+    t = t.set_column(t.column_names.index("node"), "node",
+                     pc.add(t["node"], 1_000_000))
+    pq.write_table(t, part)
+    with pytest.raises(ValueError, match="other node ids"):
+        pagerank(rd.from_arrow(edges), max_iters=4, tol=0.0, num_parts=4,
+                 checkpoint_dir=cp).count()
+
+
 def test_cc_checkpoint_resume(ray_session, tmp_path):
     """A cc run that dies mid-convergence (max_rounds exhausted) leaves
     sealed checkpoints; the rerun resumes the delta stream and converges

@@ -91,6 +91,20 @@ def test_distinct_and_count_distinct(sf_dir, con):
     assert n == con.execute("select count(distinct l_partkey) from lineitem").fetchone()[0]
 
 
+def test_cross_join_rejects_colliding_columns():
+    import pyarrow as pa
+    import ray.data as rd
+
+    left = rd.from_arrow(pa.table({"a": [1, 2], "x": [10, 20]}))
+    # raised inside the map task, so Ray re-raises it wrapped
+    with pytest.raises(Exception, match=r"column names on both sides: \['x'\]"):
+        to_arrow(R.cross_join(left, pa.table({"x": [7], "b": [8]})))
+    out = to_arrow(R.cross_join(left, pa.table({"b": [7, 8]})))
+    assert out.column_names == ["a", "x", "b"]
+    assert sorted(zip(out["a"].to_pylist(), out["b"].to_pylist())) == [
+        (1, 7), (1, 8), (2, 7), (2, 8)]
+
+
 def test_broadcast_join(sf_dir, con):
     import pyarrow.parquet as pq
 

@@ -227,6 +227,7 @@ CASES = [
     "SELECT r.r_name, n.n_name FROM region r CROSS JOIN nation n WHERE n.n_nationkey < 5 ORDER BY 1, 2",
     "SELECT s.st, COUNT(*) AS n FROM orders o CROSS JOIN (SELECT DISTINCT o_orderstatus AS st FROM orders) s WHERE o.o_orderstatus = s.st GROUP BY 1 ORDER BY 1",
     "SELECT a.o_orderpriority, b.st, COUNT(*) AS n FROM (SELECT DISTINCT o_orderpriority FROM orders) a CROSS JOIN (SELECT DISTINCT o_orderstatus AS st FROM orders) b GROUP BY 1, 2 ORDER BY 1, 2",
+    "SELECT COUNT(*) AS n FROM nation a CROSS JOIN nation b",
     # NATURAL JOIN (shared names resolved at execute time) + USING
     "SELECT rk, n_name, r_name FROM (SELECT n_regionkey AS rk, n_name FROM nation) a NATURAL JOIN (SELECT r_regionkey AS rk, r_name FROM region) b ORDER BY n_name",
     "SELECT rk, n_name, r_name FROM (SELECT n_regionkey AS rk, n_name FROM nation) a JOIN (SELECT r_regionkey AS rk, r_name FROM region) b USING (rk) ORDER BY n_name",
@@ -445,6 +446,29 @@ def test_null_semantics_match_duckdb(nully_dir, sql):
         gv = got[c].where(got[c].notna(), None).astype(str)
         ev = exp[c].where(exp[c].notna(), None).astype(str)
         assert (gv == ev).all(), (sql, c, got, exp)
+
+
+def test_cross_join_shared_first_column_count(tmp_path):
+    """The right side of a CROSS JOIN whose columns the query never reads
+    still has to carry its row count; that carrier must not collide with a
+    left column of the same name (both tables here start with `k`)."""
+    import pyarrow as pa
+    import pyarrow.parquet as pq
+
+    pq.write_table(pa.table({"k": [1, 2, 3], "a": ["x", "y", "z"]}),
+                   str(tmp_path / "t1.parquet"))
+    pq.write_table(pa.table({"k": [10, 20], "b": [0.5, 1.5]}),
+                   str(tmp_path / "t2.parquet"))
+    con = duckdb.connect()
+    for t in ("t1", "t2"):
+        con.execute(f"create view {t} as select * from "
+                    f"read_parquet('{tmp_path}/{t}.parquet')")
+    for sql in ["SELECT COUNT(*) AS n FROM t1 CROSS JOIN t2",
+                "SELECT a, COUNT(*) AS n FROM t1, t2 GROUP BY a ORDER BY a",
+                "SELECT a, b FROM t1 CROSS JOIN t2 ORDER BY a, b"]:
+        got = to_arrow(execute(sql, str(tmp_path))).to_pylist()
+        exp = con.execute(sql).arrow().to_pylist()
+        assert got == exp, sql
 
 
 def test_hstore_get_value_and_ogr_style(tmp_path):
