@@ -8,7 +8,10 @@ by the exact geometry test (prepared-geometry Intersects pretest ->
 ray-casting PIP here).
 
 STRtree bulk queries are breadth-first over (query, node) pair arrays —
-every level is one vectorized numpy step, no per-point Python loop.
+every level is one vectorized numpy step, no per-point Python loop. The
+exact test (`PolygonSet.locate`) is one crossing-number pass over (point,
+edge) pairs read from a y-banded edge table; `point_in_ring` and
+`point_in_polygon` are the per-ring reference.
 """
 
 from __future__ import annotations
@@ -18,6 +21,16 @@ import numpy as np
 from gdal_ray.geo import wkb as W
 
 NODE_CAP = 10
+EDGE_CHUNK = 1 << 18  # (pair, edge) rows per locate pass: bounds its temporaries
+
+
+def _ranges(starts: np.ndarray, counts: np.ndarray):
+    """CSR expansion: for ranges [starts[i], starts[i] + counts[i]) returns
+    (i, position) for every position of every range, in range order."""
+    counts = np.asarray(counts, dtype=np.int64)
+    which = np.repeat(np.arange(counts.size, dtype=np.int64), counts)
+    pos = np.arange(which.size, dtype=np.int64) + (starts - (np.cumsum(counts) - counts))[which]
+    return which, pos
 
 
 class STRtree:
@@ -146,42 +159,52 @@ class GridIndex:
         cell_ids = np.concatenate(cell_ids)
         box_ids = np.concatenate(box_ids)
         order = np.argsort(cell_ids, kind="stable")
-        self.cell_sorted = cell_ids[order]
         self.box_sorted = box_ids[order]
-        self.boxes = boxes
+        self.cell_start = np.searchsorted(cell_ids[order], np.arange(side * side + 1))
+        self.bx0, self.by0, self.bx1, self.by1 = boxes.T.copy()
 
     def query_points(self, px: np.ndarray, py: np.ndarray):
         if self.n == 0 or len(px) == 0:
             return np.empty(0, np.int64), np.empty(0, np.int64)
-        ix = np.clip(((px - self.minx) / self.sx).astype(np.int64), 0, self.nx - 1)
-        iy = np.clip(((py - self.miny) / self.sy).astype(np.int64), 0, self.ny - 1)
+        with np.errstate(invalid="ignore"):  # NaN points: any cell, then inb drops them
+            ix = np.clip(((px - self.minx) / self.sx).astype(np.int64), 0, self.nx - 1)
+            iy = np.clip(((py - self.miny) / self.sy).astype(np.int64), 0, self.ny - 1)
         inb = (px >= self.minx) & (px <= self.maxx) & (py >= self.miny) & (py <= self.maxy)
         cell = ix * self.nx + iy
-        lo = np.searchsorted(self.cell_sorted, cell, side="left")
-        hi = np.searchsorted(self.cell_sorted, cell, side="right")
-        counts = np.where(inb, hi - lo, 0)
-        qi = np.repeat(np.arange(len(px), dtype=np.int64), counts)
-        # gather candidate box ids: offsets within each point's slice
-        starts = np.repeat(lo, counts)
-        offs = np.arange(qi.size, dtype=np.int64) - np.repeat(
-            np.cumsum(counts) - counts, counts
-        )
-        bi = self.box_sorted[starts + offs]
-        b = self.boxes[bi]
-        keep = (px[qi] >= b[:, 0]) & (px[qi] <= b[:, 2]) & (py[qi] >= b[:, 1]) & (py[qi] <= b[:, 3])
+        lo = self.cell_start[cell]
+        counts = np.where(inb, self.cell_start[cell + 1] - lo, 0)
+        qi, pos = _ranges(lo, counts)
+        bi = self.box_sorted[pos]
+        x, y = np.repeat(px, counts), np.repeat(py, counts)
+        keep = (x >= self.bx0[bi]) & (x <= self.bx1[bi]) & (y >= self.by0[bi]) & (y <= self.by1[bi])
         return qi[keep], bi[keep]
 
 
 class PolygonSet:
     """A small broadcastable polygon collection with bbox index + exact PIP.
 
-    Built once per actor from a WKB polygon table (the broadcast-method-layer
-    pattern, ogrlayer.cpp:5323-5325)."""
+    Built once per worker from a WKB polygon table (the broadcast-method-layer
+    pattern, ogrlayer.cpp:5323-5325). The exact test reads a y-banded edge
+    table in CSR form: every polygon's bbox y-range is cut into
+    nb = max(1, n_edges // 4) equal bands, and each non-horizontal edge is
+    listed under every band its y-range overlaps, lower-y endpoint first.
+    `locate` expands each (point, polygon) bbox candidate to the edges of the
+    point's band and takes the crossing-number parity of all of them in one
+    vectorized pass. The band of a y is one monotone float expression shared
+    by build and query, so every edge that can straddle a point's y is in
+    that point's band and the parity is exact.
+
+    Points on a boundary (the half-open rule): an edge counts for a point
+    when min(y0, y1) <= py < max(y0, y1) and px < xint, with xint computed
+    from the edge's lower endpoint. A point on an edge therefore belongs to
+    the polygon on its +x side, and a point on a horizontal edge to the
+    polygon above it. An edge shared by two polygons of a partition is
+    evaluated with the same endpoints in the same order by both, so a point
+    on an interior shared edge or vertex has exactly one owner."""
 
     def __init__(self, wkb_list: list[bytes]):
-        self.polys: list[list[np.ndarray]] = []
-        boxes = []
-        for buf in wkb_list:
+        boxes, segs, owner = [], [], []
+        for p, buf in enumerate(wkb_list):
             kind, data = W.parse_wkb(buf)
             if kind == "polygon":
                 rings = data
@@ -189,27 +212,70 @@ class PolygonSet:
                 rings = [r for _, rs in data for r in rs]
             else:
                 raise ValueError(f"PolygonSet expects polygons, got {kind}")
-            self.polys.append(rings)
             allpts = np.vstack(rings)
             boxes.append(
                 [allpts[:, 0].min(), allpts[:, 1].min(), allpts[:, 0].max(), allpts[:, 1].max()]
             )
+            for ring in rings:
+                segs.append(np.hstack([ring[:-1], ring[1:]]))
+                owner.append(np.full(len(ring) - 1, p, dtype=np.int64))
         self.boxes = np.array(boxes) if boxes else np.zeros((0, 4))
         self.tree = GridIndex(self.boxes)
+        e = np.vstack(segs) if segs else np.zeros((0, 4))
+        owner = np.concatenate(owner) if owner else np.zeros(0, np.int64)
+        # lower-y endpoint first; horizontal (and NaN) edges never straddle
+        flip = e[:, 1] > e[:, 3]
+        e[flip] = e[flip][:, [2, 3, 0, 1]]
+        keep = e[:, 1] < e[:, 3]
+        e, owner = e[keep], owner[keep]
+        n = len(self.boxes)
+        self._nb = np.maximum(1, np.bincount(owner, minlength=n) // 4)
+        self._base = np.concatenate([[0], np.cumsum(self._nb)])
+        self._ymin = self.boxes[:, 1]
+        with np.errstate(divide="ignore", invalid="ignore"):
+            scale = self._nb / (self.boxes[:, 3] - self._ymin)
+        self._scale = np.where(np.isfinite(scale), scale, 0.0)
+        lo = self._band(owner, e[:, 1])
+        edge, band = _ranges(lo, self._band(owner, e[:, 3]) - lo + 1)
+        order = np.argsort(band, kind="stable")
+        self._x0, self._y0, self._x1, self._y1 = e[edge[order]].T.copy()
+        self._offsets = np.concatenate(
+            [[0], np.cumsum(np.bincount(band, minlength=self._base[-1]))]
+        )
+
+    def _odd_crossings(self, x, y, lo, counts) -> np.ndarray:
+        """Crossing-number parity of point i against the band-table edges
+        lo[i] .. lo[i] + counts[i] - 1."""
+        pair, e = _ranges(lo, counts)
+        xe, ye = np.repeat(x, counts), np.repeat(y, counts)
+        y0, y1 = self._y0[e], self._y1[e]
+        x0, x1 = self._x0[e], self._x1[e]
+        xint = (x1 - x0) * (ye - y0) / (y1 - y0) + x0
+        cross = ((y0 > ye) != (y1 > ye)) & (xe < xint)
+        return (np.bincount(pair[cross], minlength=x.size) & 1).astype(bool)
+
+    def _band(self, poly: np.ndarray, y: np.ndarray) -> np.ndarray:
+        """Global band id of y within polygon poly (y inside poly's bbox)."""
+        b = ((y - self._ymin[poly]) * self._scale[poly]).astype(np.int64)
+        return self._base[poly] + np.minimum(b, self._nb[poly] - 1)
 
     def locate(self, px: np.ndarray, py: np.ndarray):
-        """(point_idx, polygon_idx) for every exact containment pair."""
+        """(point_idx, polygon_idx) for every exact containment pair, ordered
+        by polygon index, then point index. The candidate pairs run in
+        consecutive slices of about EDGE_CHUNK (pair, edge) rows, so a band
+        holding many edges (say a multipolygon whose parts sit far apart in
+        y) costs time, not memory."""
         qi, bi = self.tree.query_points(px, py)
-        if qi.size == 0:
-            return qi, bi
+        x, y = px[qi], py[qi]
+        band = self._band(bi, y)
+        lo = self._offsets[band]
+        counts = self._offsets[band + 1] - lo
+        cum = np.cumsum(counts)
+        total = int(cum[-1]) if cum.size else 0
+        cuts = np.searchsorted(cum, np.arange(EDGE_CHUNK, total, EDGE_CHUNK), side="right")
         keep = np.zeros(qi.size, dtype=bool)
-        order = np.argsort(bi, kind="stable")
-        qi, bi = qi[order], bi[order]
-        bounds = np.searchsorted(bi, np.arange(len(self.polys) + 1))
-        for p in range(len(self.polys)):
-            lo, hi = bounds[p], bounds[p + 1]
-            if lo == hi:
-                continue
-            sel = slice(lo, hi)
-            keep[sel] = point_in_polygon(px[qi[sel]], py[qi[sel]], self.polys[p])
-        return qi[keep], bi[keep]
+        for a, b in zip(np.r_[0, cuts], np.r_[cuts, qi.size]):
+            keep[a:b] = self._odd_crossings(x[a:b], y[a:b], lo[a:b], counts[a:b])
+        qi, bi = qi[keep], bi[keep]
+        order = np.argsort(bi * len(px) + qi)  # unique keys: (polygon, point)
+        return qi[order], bi[order]

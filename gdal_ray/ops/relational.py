@@ -27,7 +27,8 @@ from typing import Sequence
 import numpy as np
 import pyarrow as pa
 
-from gdal_ray.util import default_num_parts, partition_ids, pd_to_arrow as _pd2pa
+from gdal_ray.util import (canonical_float_keys, default_num_parts,
+                           partition_ids, pd_to_arrow as _pd2pa)
 import pyarrow.compute as pc
 
 
@@ -78,8 +79,11 @@ def arrow_group_by(t: pa.Table, keys: Sequence[str], aggs=()) -> pa.Table:
     all-null date32 gives 226 groups, not 2); the large_string/large_binary
     types group correctly, so a multi-key group_by runs such keys as their
     large types and casts them back. Tables whose keys hold no null, and
-    all other keys, are not copied."""
+    all other keys, are not copied. Float keys go through
+    util.canonical_float_keys, so -0.0 and 0.0 (and all NaNs) are one
+    group, as in SQL; the output keys carry the canonical values."""
     keys = list(keys)
+    t = canonical_float_keys(t, keys)
     nulls = len(keys) > 1 and any(t[k].null_count for k in keys)
     small = {k: t.schema.field(k).type for k in keys
              if nulls and t.schema.field(k).type in _LARGE}
@@ -633,9 +637,12 @@ def join_tables(lt: pa.Table, rt: pa.Table, *, keys, right_keys=None,
     the slim join runs with surrogate row indices, and each nested column
     re-attaches via one vectorized take (null surrogate from an outer
     join -> null payload). Column order matches pa.Table.join: left
-    columns, then right non-key columns."""
+    columns, then right non-key columns. Float keys of both sides go
+    through util.canonical_float_keys, so -0.0 meets 0.0 as in SQL."""
     keys = list(keys)
     right_keys = list(right_keys) if right_keys is not None else keys
+    lt = canonical_float_keys(lt, keys)
+    rt = canonical_float_keys(rt, right_keys)
     nest_l = [c for c in lt.column_names
               if c not in keys and pa.types.is_nested(lt.schema.field(c).type)]
     nest_r = [c for c in rt.column_names
@@ -874,7 +881,8 @@ def semi_anti_join(ds, keys: Sequence[str], key_set, *, anti: bool = False):
     def f(t: pa.Table) -> pa.Table:
         kt = ray.get(ref)
         if len(keys) == 1:
-            mask = pc.is_in(t[keys[0]], value_set=kt[keys[0]].combine_chunks())
+            mask = pc.is_in(canonical_float_keys(t, keys)[keys[0]],
+                            value_set=kt[keys[0]].combine_chunks())
             if anti:
                 mask = pc.invert(pc.fill_null(mask, False))
             return t.filter(mask)
@@ -1525,7 +1533,7 @@ def semi_join_hash(ds, right_ds, keys: Sequence[str], *, anti: bool = False,
         rt = t.filter(pa.array(side == 1)).select(keys)
         kt = arrow_group_by(rt, keys)
         if len(keys) == 1:
-            mask = pc.is_in(lt[keys[0]],
+            mask = pc.is_in(canonical_float_keys(lt, keys)[keys[0]],
                             value_set=kt[keys[0]].combine_chunks())
             if anti:
                 mask = pc.invert(pc.fill_null(mask, False))

@@ -14,7 +14,7 @@ import pyarrow as pa
 import pyarrow.compute as pc
 
 from gdal_ray.ops.relational import arrow_group_by
-from gdal_ray.util import hash_column, pd_to_arrow as _pd2pa
+from gdal_ray.util import canonical_float_keys, hash_column, pd_to_arrow as _pd2pa
 
 
 def hll_sketch(h: np.ndarray, p: int = 12) -> np.ndarray:
@@ -313,7 +313,7 @@ def heavy_hitters(ds, col: str, *, phi: float, tree_width: int = 16):
 
     def recount(t: pa.Table) -> pa.Table:
         cv = ray.get(ref)
-        v = t[col].combine_chunks()
+        v = canonical_float_keys(t, [col])[col].combine_chunks()
         mask = pc.fill_null(pc.is_in(v, value_set=cv), False)
         vc = pc.value_counts(v.filter(mask))
         # the null-key row carries this batch's row count (for N); pyarrow

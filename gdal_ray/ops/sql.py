@@ -52,7 +52,7 @@ from typing import Any
 import numpy as np
 import pyarrow as pa
 
-from gdal_ray.util import pd_to_arrow as _pd2pa
+from gdal_ray.util import canonical_floats, pd_to_arrow as _pd2pa
 import pyarrow.compute as pc
 
 # ---------------------------------------------------------------------------
@@ -2369,6 +2369,18 @@ def _plan_comma_joins(core: Select, refs: list, sf_dir: str) -> None:
 # ---------------------------------------------------------------------------
 
 
+def _sql_in(x, vals: pa.Array):
+    """SQL `x IN (vals)`: TRUE on a match; NULL when x is NULL, or when
+    nothing matches and vals holds a NULL; FALSE otherwise (also for an
+    empty vals). Float values compare as SQL does (util.canonical_floats)."""
+    hit = pc.is_in(canonical_floats(x), value_set=canonical_floats(vals),
+                   skip_nulls=True)
+    if len(vals) == 0:
+        return hit
+    unknown = pc.invert(hit) if vals.null_count else pc.is_null(x)
+    return pc.if_else(unknown, pa.scalar(None, pa.bool_()), hit)
+
+
 def eval_expr(node: Node, t: pa.Table):
     k = node.kind
     if k == "col":
@@ -2454,11 +2466,11 @@ def eval_expr(node: Node, t: pa.Table):
         return pc.invert(eval_expr(node.args[0], t))
     if k == "in":
         vals = [a.value for a in node.args[1]]
-        return pc.is_in(eval_expr(node.args[0], t), value_set=pa.array(vals))
+        return _sql_in(eval_expr(node.args[0], t), pa.array(vals))
     if k == "in_vals":
         # IN (SELECT ...) after driver-side resolution: value is the
         # subquery's materialized column (a pa.Array — ships with the task)
-        return pc.is_in(eval_expr(node.args[0], t), value_set=node.value)
+        return _sql_in(eval_expr(node.args[0], t), node.value)
     if k in ("in_sub", "scalar_sub"):
         raise ValueError(
             "unresolved subquery node — run the statement through "

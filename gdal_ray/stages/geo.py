@@ -1,10 +1,10 @@
 """Geo pipeline stages (map_batches callables).
 
-The stateful PIP joiner is an actor-pool stage: the broadcast polygon table
-is fetched and its STRtree built ONCE per actor in __init__ (the reference's
-"copy the method layer into memory for best performance" advice,
-ogr/ogrsf_frmts/generic/ogrlayer.cpp:5323-5325, restated for Ray); per-batch
-work is pure vectorized numpy.
+The PIP join is a stateless map_batches stage: the broadcast polygon table
+rides the object store and each worker process builds its PolygonSet once
+per table (the reference's "copy the method layer into memory for best
+performance" advice, ogr/ogrsf_frmts/generic/ogrlayer.cpp:5323-5325,
+restated for Ray); per-batch work is pure vectorized numpy.
 """
 
 from __future__ import annotations
@@ -52,26 +52,46 @@ def add_cell_columns(
 #: per-worker-process PolygonSet cache: stateless map_batches tasks get
 #: actor-like amortization (the set is built once per worker, not per batch)
 #: without paying actor-pool spawn latency — at 32 CPUs a (1, 30) actor pool
-#: spent more wall time spawning actors than joining (measured).
+#: spent more wall time spawning actors than joining (measured). At most one
+#: entry: callers ray.put a fresh polygon table per pipeline, so older
+#: entries are never read again.
 _PSET_CACHE: dict = {}
+
+
+def _polygon_set(polygons_ref, wkb_col: str):
+    """(attribute table, PolygonSet) of a broadcast polygon table, cached in
+    this worker. Module-level on purpose: a closure handed to map_batches is
+    pickled by value together with copies of the module globals it names, so
+    a closure reading _PSET_CACHE would see a fresh empty dict in every
+    task; a top-level function is pickled by reference and reads the worker
+    module's own dict."""
+    import ray
+
+    key = (polygons_ref.hex(), wkb_col)
+    cached = _PSET_CACHE.get(key)
+    if cached is None:
+        table = ray.get(polygons_ref)
+        cached = (table.drop_columns([wkb_col]), PolygonSet(table[wkb_col].to_pylist()))
+        _PSET_CACHE.clear()
+        _PSET_CACHE[key] = cached
+    return cached
 
 
 def pip_join_fn(polygons_ref, *, lon_col="lon", lat_col="lat",
                 wkb_col="geometry", how="inner"):
-    """Stateless-task PIP join: returns a batch fn for map_batches. The
-    polygon table rides the object store (ray.put once); the PolygonSet is
-    cached per worker process."""
+    """Point-in-polygon spatial join against a broadcast polygon table
+    (`polygons_ref`, an ObjectRef of a table with a WKB column); returns a
+    batch fn for map_batches.
+
+    Semantics follow OGRLayer::Intersection for point inputs
+    (ogrlayer.cpp:5385-5800): how="inner" drops unmatched points and emits
+    one row per (point, polygon) match; how="left" is the Identity-style
+    left join (ogrlayer.cpp:6770) that keeps every point once, with the
+    lowest-index matching polygon or null attributes. The attribute columns
+    of the polygon side are appended."""
 
     def f(t: pa.Table) -> pa.Table:
-        import ray
-
-        key = polygons_ref.hex() if hasattr(polygons_ref, "hex") else id(polygons_ref)
-        cached = _PSET_CACHE.get(key)
-        if cached is None:
-            table = ray.get(polygons_ref) if not isinstance(polygons_ref, pa.Table) else polygons_ref
-            cached = (table.drop_columns([wkb_col]), PolygonSet(table[wkb_col].to_pylist()))
-            _PSET_CACHE[key] = cached
-        attrs, pset = cached
+        attrs, pset = _polygon_set(polygons_ref, wkb_col)
         return _pip_apply(t, attrs, pset, lon_col, lat_col, how)
 
     return f
@@ -103,29 +123,6 @@ def _pip_apply(t: pa.Table, attrs: pa.Table, pset, lon_col, lat_col, how):
         col = pc.if_else(mask, pa.scalar(None, type=col.type), col)
         out = out.append_column(name, col)
     return out
-
-
-class PIPJoiner:
-    """Point-in-polygon spatial join against a broadcast polygon table.
-
-    Semantics follow OGRLayer::Intersection for point inputs
-    (ogrlayer.cpp:5385-5800): inner join (drop unmatched) or Identity-style
-    left join (keep unmatched with null method attrs, ogrlayer.cpp:6770).
-    Attribute columns of the method (polygon) side are appended.
-    """
-
-    def __init__(self, polygons_ref, *, lon_col="lon", lat_col="lat",
-                 wkb_col="geometry", how="inner"):
-        import ray
-
-        table = ray.get(polygons_ref) if not isinstance(polygons_ref, pa.Table) else polygons_ref
-        self.attrs = table.drop_columns([wkb_col])
-        self.pset = PolygonSet(table[wkb_col].to_pylist())
-        self.lon_col, self.lat_col = lon_col, lat_col
-        self.how = how
-
-    def __call__(self, t: pa.Table) -> pa.Table:
-        return _pip_apply(t, self.attrs, self.pset, self.lon_col, self.lat_col, self.how)
 
 
 def knn_points(ds, queries: pa.Table, k: int, *, id_col="id", lon_col="lon",

@@ -193,12 +193,39 @@ def _is_bytes(typ: pa.DataType) -> bool:
             or pa.types.is_binary(typ) or pa.types.is_large_binary(typ))
 
 
+_FLOATS = (pa.float32(), pa.float64())
+
+
+def canonical_floats(col):
+    """A float32/float64 column with -0.0 made 0.0 and every NaN made one
+    NaN; any other column as it is. pyarrow's group_by, is_in and joins
+    compare floats by bit pattern, where SQL treats these as equal."""
+    if col.type not in _FLOATS:
+        return col
+    col = pc.add(col, pa.scalar(0.0, col.type))  # -0.0 + 0.0 == +0.0
+    nan = pc.is_nan(col)
+    if not pc.any(nan).as_py():
+        return col
+    return pc.if_else(nan, pa.scalar(float("nan"), col.type), col)
+
+
+def canonical_float_keys(t: pa.Table, keys) -> pa.Table:
+    """The key-equality rule of every key match (group_by, is_in, join,
+    partition hash): float keys that SQL calls equal get one bit pattern.
+    Only float key columns are rewritten; nulls stay null."""
+    for k in keys:
+        col = t[k]
+        if col.type in _FLOATS:
+            t = t.set_column(t.column_names.index(k), k, canonical_floats(col))
+    return t
+
+
 def value_hash(col) -> np.ndarray:
     """64-bit hash of each value of one column, a function of the value
     alone (never of the block, the integer width or the null mix):
     integers, bools and temporals by value through splitmix64 (nulls are
     filled before to_numpy, so int64 above 2^53 stays exact); floats by
-    their float64 bit pattern with -0.0 and NaN made canonical;
+    their float64 bit pattern after canonical_floats;
     strings/binary by FNV-1a of their bytes; any other type by FNV-1a of
     its Arrow string cast. A null of any type hashes to NULL_HASH."""
     col = col.combine_chunks() if isinstance(col, pa.ChunkedArray) else col
@@ -211,9 +238,8 @@ def value_hash(col) -> np.ndarray:
         v = pc.fill_null(col, 0).to_numpy(zero_copy_only=False)
         h = splitmix64(v.astype(np.int64))
     elif pa.types.is_floating(col.type):
-        v = pc.fill_null(col.cast(pa.float64()), 0.0).to_numpy(
-            zero_copy_only=False) + 0.0  # -0.0 + 0.0 == +0.0
-        v[np.isnan(v)] = np.nan
+        v = pc.fill_null(canonical_floats(col.cast(pa.float64())),
+                         0.0).to_numpy(zero_copy_only=False)
         h = splitmix64(v.view(np.int64))
     else:
         binary = pa.types.is_binary(col.type) or pa.types.is_large_binary(col.type)

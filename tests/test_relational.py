@@ -91,6 +91,99 @@ def test_distinct_and_count_distinct(sf_dir, con):
     assert n == con.execute("select count(distinct l_partkey) from lineitem").fetchone()[0]
 
 
+@pytest.mark.parametrize("layout", ["one_block", "two_blocks"])
+def test_signed_zero_float_keys_group_as_one(layout):
+    """-0.0 and 0.0 are one group, as in DuckDB's GROUP BY / DISTINCT."""
+    import pyarrow as pa
+    import ray.data as rd
+
+    blocks = [pa.table({"x": pa.array([0.0, 1.0, None, -0.0], pa.float64()),
+                        "y": pa.array([-0.0, 2.5, 0.0, 0.0], pa.float32()),
+                        "s": ["a", "b", "a", "a"]}),
+              pa.table({"x": pa.array([-0.0, 1.0, 0.0], pa.float64()),
+                        "y": pa.array([0.0, 2.5, -0.0], pa.float32()),
+                        "s": ["a", "b", "a"]})]
+    whole = pa.concat_tables(blocks)
+    ds = rd.from_arrow(blocks if layout == "two_blocks" else [whole])
+    con = duckdb.connect()
+    con.register("t", whole)
+
+    def rows(tbl, cols):  # sorted with -0.0 == 0.0 and nulls last
+        return sorted(zip(*(tbl[c].to_pylist() for c in cols)),
+                      key=lambda r: tuple((v is None, v) for v in r))
+
+    def expect(sql, cols):
+        got = con.execute(sql).fetch_arrow_table()
+        return rows(got.rename_columns(cols), cols)
+
+    for keys in (["x"], ["y"], ["x", "s"], ["x", "y", "s"]):
+        k = ", ".join(keys)
+        exp = expect(f"SELECT {k}, COUNT(*) AS n FROM t GROUP BY {k}", keys + ["n"])
+        for merge in ("tree", "hash"):
+            got = to_arrow(R.groupby_agg(ds, keys, [("n", "count_star", None)], merge=merge))
+            assert rows(got, keys + ["n"]) == exp, (keys, merge)
+        exp = expect(f"SELECT DISTINCT {k} FROM t", keys)
+        for merge in ("tree", "hash"):
+            assert rows(to_arrow(R.distinct(ds, keys, merge=merge)), keys) == exp, (keys, merge)
+
+
+def test_signed_zero_and_nan_float_keys_match_as_in_sql():
+    """Key matches (is_in, semi/anti joins, SQL IN / NOT EXISTS, a
+    first-match broadcast join) treat -0.0 as 0.0 and every NaN as one
+    value on both sides, as DuckDB does; pyarrow compares by bits."""
+    import numpy as np
+    import pyarrow as pa
+    import ray.data as rd
+    from gdal_ray.ops.sql import execute, register_table, unregister_table
+
+    nan2 = float(np.array([0x7FF8000000000001], np.uint64).view(np.float64)[0])
+    left = pa.table({"x": pa.array([0.0, -0.0, 1.0, 2.0, float("nan"), nan2,
+                                    None, -0.0], pa.float64()),
+                     "s": ["a", "a", "b", "a", "a", "a", "a", "b"],
+                     "lv": list(range(8))})
+    rights = {"pos": [0.0], "neg": [-0.0], "both": [-0.0, 0.0, 1.0],
+              "nan": [nan2, 2.0]}
+    con = duckdb.connect()
+    con.register("l", left)
+
+    def lvs(tbl):
+        return sorted(tbl["lv"].to_pylist())
+
+    for name, xs in rights.items():
+        right = pa.table({"x": pa.array(xs, pa.float64()), "s": ["a"] * len(xs),
+                          "rv": list(range(len(xs)))})
+        con.register("r", right)
+        for anti in (False, True):
+            neg = "NOT " if anti else ""
+            for keys in (["x"], ["x", "s"]):
+                on = " AND ".join(f"r.{k} = l.{k}" for k in keys)
+                exp = sorted(r[0] for r in con.execute(
+                    f"SELECT lv FROM l WHERE {neg}EXISTS "
+                    f"(SELECT 1 FROM r WHERE {on})").fetchall())
+                got = R.semi_join_hash(rd.from_arrow(left), rd.from_arrow(right),
+                                       keys, anti=anti, num_parts=3)
+                assert lvs(to_arrow(got)) == exp, (name, anti, keys, "hash")
+                got = R.semi_anti_join(rd.from_arrow(left), keys,
+                                       right.select(keys), anti=anti)
+                assert lvs(to_arrow(got)) == exp, (name, anti, keys, "broadcast")
+        register_table("l", rd.from_arrow(left))
+        register_table("r", rd.from_arrow(right))
+        try:
+            for sql in ("SELECT lv FROM l WHERE x IN (SELECT x FROM r)",
+                        "SELECT lv FROM l WHERE x NOT IN (SELECT x FROM r)"):
+                exp = sorted(r[0] for r in con.execute(sql).fetchall())
+                assert lvs(to_arrow(execute(sql, "."))) == exp, (name, sql)
+        finally:
+            unregister_table("l")
+            unregister_table("r")
+        exp = sorted(con.execute(
+            "SELECT l.lv, r.rv FROM l LEFT JOIN (SELECT x, min(rv) AS rv "
+            "FROM r GROUP BY x) r ON l.x = r.x").fetchall())
+        got = to_arrow(R.broadcast_join(rd.from_arrow(left), right.select(["x", "rv"]),
+                                        ["x"], how="left", first_match_order=["rv"]))
+        assert sorted(zip(got["lv"].to_pylist(), got["rv"].to_pylist())) == exp, name
+
+
 def test_cross_join_rejects_colliding_columns():
     import pyarrow as pa
     import ray.data as rd
