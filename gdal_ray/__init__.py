@@ -15,32 +15,10 @@ Layout:
 
 Nothing in this package calls ray.init()/ray.shutdown(); sessions are owned
 by the caller (driver, bench.py, or the pytest fixture).
+
+Every UDF the package hands to Ray takes and returns a pyarrow Table, and
+importing the package installs no log filter: Ray's warnings reach the
+caller unfiltered.
 """
 
 __version__ = "0.1.0"
-
-
-def _install_log_filters() -> None:
-    """Drop the one Ray log line this engine cannot fix at the source:
-    'Failed to hash the schemas (for deduplication)'. pyarrow's
-    Schema.__hash__ raises on b'pandas' metadata (a dict inside), and
-    Ray's OWN pandas-block -> Arrow conversion re-attaches that metadata
-    for every map_groups(batch_format='pandas') stage, so reduce tasks
-    log it once per task — thousands of lines per bench run that bury
-    real warnings. Our own conversions already strip the metadata
-    (util.pd_to_arrow); this filter silences the remainder emitted from
-    WORKER processes, which import this package to deserialize UDFs, so
-    the import-time hook reaches them. Only this exact message is
-    dropped; the fallback unification itself still runs."""
-    import logging
-
-    class _SchemaHashNoise(logging.Filter):
-        def filter(self, record: logging.LogRecord) -> bool:
-            return "Failed to hash the schemas" not in record.getMessage()
-
-    lg = logging.getLogger("ray.data._internal.arrow_ops.transform_pyarrow")
-    if not any(isinstance(f, _SchemaHashNoise) for f in lg.filters):
-        lg.addFilter(_SchemaHashNoise())
-
-
-_install_log_filters()

@@ -27,8 +27,7 @@ from typing import Sequence
 import numpy as np
 import pyarrow as pa
 
-from gdal_ray.util import (canonical_float_keys, default_num_parts,
-                           partition_ids, pd_to_arrow as _pd2pa)
+from gdal_ray.util import canonical_float_keys, default_num_parts, partition_ids
 import pyarrow.compute as pc
 
 
@@ -57,8 +56,11 @@ def hash_partition_reduce(ds, keys: Sequence[str], reduce_tbl, *, num_parts: int
         num_parts = default_num_parts(multiplier=8, floor=256)
     keys = list(keys)
 
+    # schema metadata (b"pandas" from pandas-written parquet) makes a
+    # pyarrow schema unhashable, and Ray hashes block schemas when a
+    # shuffle concatenates them: rows enter an exchange without it
     parted = ds.map_batches(
-        lambda t: t.append_column(
+        lambda t: t.replace_schema_metadata(None).append_column(
             _PART_COL, pa.array(partition_ids(t, keys, num_parts))),
         batch_format="pyarrow", batch_size=None,
     )
@@ -93,6 +95,64 @@ def arrow_group_by(t: pa.Table, keys: Sequence[str], aggs=()) -> pa.Table:
     for k, typ in small.items():
         out = out.set_column(out.column_names.index(k), k, out[k].cast(typ))
     return out
+
+
+def key_codes(t: pa.Table, keys: Sequence[str]) -> np.ndarray:
+    """One dense int64 code per row, equal exactly where the key tuples are
+    equal under the arrow_group_by rule (nulls are one value, floats
+    canonical). Dtypes never change, so a null-holding int key stays int."""
+    t = canonical_float_keys(t, keys)
+    code = np.zeros(len(t), np.int64)
+    for k in keys:
+        enc = pc.dictionary_encode(t[k].combine_chunks(), null_encoding="encode")
+        c = enc.indices.to_numpy(zero_copy_only=False).astype(np.int64)
+        code = np.unique(code * len(enc.dictionary) + c, return_inverse=True)[1]
+    return code.reshape(-1).astype(np.int64)
+
+
+def sort_segments(t: pa.Table, keys: Sequence[str], order=()):
+    """Stable sort by keys (ascending) then order [(col, "ascending" |
+    "descending")], nulls last; returns (sorted table, starts) where starts
+    holds the first row of each key group."""
+    sort_keys = [(k, "ascending") for k in keys] + list(order)
+    if sort_keys:  # pc.sort_indices rejects an empty key list (OVER ())
+        t = t.take(pc.sort_indices(t, sort_keys=sort_keys))
+    codes = key_codes(t, keys)
+    starts = np.flatnonzero(np.diff(codes, prepend=-1)) if len(t) \
+        else np.empty(0, np.int64)
+    return t, starts
+
+
+def segment_positions(starts: np.ndarray, n: int) -> np.ndarray:
+    """0-based position of each of n rows inside its segment (sort_segments
+    starts)."""
+    sizes = np.diff(np.append(starts, n))
+    return np.arange(n, dtype=np.int64) - np.repeat(starts, sizes)
+
+
+def head_k(keys: Sequence[str], order, k: int):
+    """A merge fn for tree_reduce / map_batches: the first k rows of each
+    key group under order [(col, "ascending" | "descending")], sorted by
+    (keys, order)."""
+    keys = list(keys)
+
+    def merge(t: pa.Table) -> pa.Table:
+        t, starts = sort_segments(t, keys, order)
+        return t.filter(pa.array(segment_positions(starts, len(t)) < k))
+
+    return merge
+
+
+def tree_reduce(ds, fn, width: int):
+    """Two-level tree merge: repartition(width) -> fn per block ->
+    repartition(1) -> fn. fn(pa.Table) -> pa.Table must accept its own
+    outputs (a merge that is associative over blocks); the final task reads
+    at most width blocks of fn's output. width 1 is the final level alone,
+    for inputs known to be small: a split repartition(width) of fewer rows
+    than width pads with zero-column blocks."""
+    for n in ((width, 1) if width > 1 else (1,)):
+        ds = ds.repartition(n).map_batches(fn, batch_format="pyarrow", batch_size=None)
+    return ds
 
 
 # ---------------------------------------------------------------------------
@@ -376,102 +436,7 @@ def groupby_agg(
         pname = f"{col}__{fn}"
         merge_plan.append((pname, "sum" if fn in ("sum", "count") else fn))
 
-    def merge_welford(t: pa.Table) -> pa.Table:
-        """Merge partial rows per key when central-moment specs are present.
-        The Welford pairwise merge generalized to groups AND to higher
-        moments: shift every partial mean by the group's first mean (all
-        partial means of a key are near each other, so the shifted powers
-        stay small — no catastrophic cancellation, unlike raw power sums),
-        accumulate power sums P1..P4 about that reference, then translate
-        to the combined mean. Vectorized over ALL groups with np reduceat
-        on the key-sorted frame."""
-        if len(t) == 0:
-            return t
-        df = t.to_pandas()
-        df = df.sort_values(global_key, kind="mergesort", ignore_index=True)
-        starts = np.flatnonzero(~df.duplicated(subset=global_key).to_numpy())
-        sizes = np.diff(np.append(starts, len(df)))
-        out = {k: pa.array(df[k].to_numpy()[starts]) for k in global_key}
-        for pname, mfn in merge_plan:
-            a = df[pname].to_numpy()
-            if mfn == "first":
-                # first non-null partial (pandas first skips NaN/None)
-                gb = df.groupby(global_key, sort=False, dropna=False)[pname]
-                out[pname] = pa.array(gb.first().to_numpy())
-            elif a.dtype.kind == "f":
-                if mfn in ("sum", "product"):
-                    # Arrow sum/product skip nulls: all-NaN group -> NaN
-                    valid = ~np.isnan(a)
-                    if mfn == "sum":
-                        s = np.add.reduceat(np.nan_to_num(a), starts)
-                    else:
-                        s = np.multiply.reduceat(np.where(valid, a, 1.0), starts)
-                    nv = np.add.reduceat(valid.astype(np.int64), starts)
-                    r = np.where(nv > 0, s, np.nan)
-                elif mfn == "min":
-                    r = np.fmin.reduceat(a, starts)
-                else:
-                    r = np.fmax.reduceat(a, starts)
-                out[pname] = pa.array(r)
-            elif a.dtype.kind in "iu":
-                fn = {"sum": np.add, "min": np.minimum, "max": np.maximum,
-                      "product": np.multiply}[mfn]
-                out[pname] = pa.array(fn.reduceat(a, starts))
-            else:
-                # non-numeric min/max partial (e.g. string): pandas groupby
-                gb = df.groupby(global_key, sort=False, dropna=False)[pname]
-                out[pname] = pa.array(
-                    (gb.min() if mfn == "min" else
-                     gb.max() if mfn == "max" else gb.sum()).to_numpy())
-        for col, order in moment_orders.items():
-            n = df[f"{col}__count"].to_numpy().astype(np.float64)
-            mean = np.nan_to_num(df[f"{col}__wmean"].to_numpy().astype(np.float64))
-            m2 = np.nan_to_num(df[f"{col}__wm2"].to_numpy().astype(np.float64))
-            dm = mean - np.repeat(mean[starts], sizes)
-            N = np.add.reduceat(n, starts)
-            P1 = np.add.reduceat(n * dm, starts)
-            P2 = np.add.reduceat(m2 + n * dm * dm, starts)
-            with np.errstate(invalid="ignore", divide="ignore"):
-                D = np.where(N > 0, P1 / N, 0.0)
-                MEAN = mean[starts] + D
-                M2 = P2 - N * D * D
-            out[f"{col}__wmean"] = pa.array(MEAN)
-            out[f"{col}__wm2"] = pa.array(np.maximum(M2, 0.0))
-            if order >= 3:
-                m3 = np.nan_to_num(df[f"{col}__wm3"].to_numpy().astype(np.float64))
-                P3 = np.add.reduceat(m3 + 3 * dm * m2 + n * dm ** 3, starts)
-                M3 = P3 - 3 * D * P2 + 2 * N * D ** 3
-                out[f"{col}__wm3"] = pa.array(M3)
-            if order >= 4:
-                m4 = np.nan_to_num(df[f"{col}__wm4"].to_numpy().astype(np.float64))
-                P4 = np.add.reduceat(
-                    m4 + 4 * dm * m3 + 6 * dm * dm * m2 + n * dm ** 4, starts)
-                M4 = P4 - 4 * D * P3 + 6 * D * D * P2 - 3 * N * D ** 4
-                out[f"{col}__wm4"] = pa.array(np.maximum(M4, 0.0))
-        for tag in cov_pairs:
-            n = df[f"{tag}__cn"].to_numpy().astype(np.float64)
-            cmx = np.nan_to_num(df[f"{tag}__cmx"].to_numpy().astype(np.float64))
-            cmy = np.nan_to_num(df[f"{tag}__cmy"].to_numpy().astype(np.float64))
-            c2 = np.nan_to_num(df[f"{tag}__c2"].to_numpy().astype(np.float64))
-            dx = cmx - np.repeat(cmx[starts], sizes)
-            dy = cmy - np.repeat(cmy[starts], sizes)
-            N = np.add.reduceat(n, starts)
-            Px = np.add.reduceat(n * dx, starts)
-            Py = np.add.reduceat(n * dy, starts)
-            P11 = np.add.reduceat(c2 + n * dx * dy, starts)
-            with np.errstate(invalid="ignore", divide="ignore"):
-                Dx = np.where(N > 0, Px / N, 0.0)
-                Dy = np.where(N > 0, Py / N, 0.0)
-                C2 = P11 - N * Dx * Dy
-            out[f"{tag}__cn"] = pa.array(N.astype(np.int64))
-            out[f"{tag}__cmx"] = pa.array(cmx[starts] + Dx)
-            out[f"{tag}__cmy"] = pa.array(cmy[starts] + Dy)
-            out[f"{tag}__c2"] = pa.array(C2)
-        return pa.table(out)
-
     def merge_batch(t: pa.Table) -> pa.Table:
-        if len(t) == 0:
-            return t
         out = arrow_group_by(t, global_key, merge_plan)
         names = []
         for name in out.column_names:
@@ -482,14 +447,75 @@ def groupby_agg(
             names.append(name)
         return out.rename_columns(names)
 
+    def merge_welford(t: pa.Table) -> pa.Table:
+        """Merge partial rows per key when central-moment specs are present.
+        The Welford pairwise merge generalized to groups AND to higher
+        moments: shift every partial mean by the group's first mean (all
+        partial means of a key are near each other, so the shifted powers
+        stay small — no catastrophic cancellation, unlike raw power sums),
+        accumulate power sums P1..P4 about that reference, then translate
+        to the combined mean. The plain partials merge through merge_batch
+        on the key-sorted table (arrow_group_by emits groups in order of
+        first appearance, so its rows line up with the segments); the
+        moments are vectorized over ALL groups with np reduceat."""
+        t, starts = sort_segments(t, global_key)
+        sizes = np.diff(np.append(starts, len(t)))
+        out = merge_batch(t)
+
+        def f64(name):
+            return np.nan_to_num(pc.cast(t[name], pa.float64())
+                                 .to_numpy(zero_copy_only=False))
+
+        for col, order in moment_orders.items():
+            n = f64(f"{col}__count")
+            mean = f64(f"{col}__wmean")
+            m2 = f64(f"{col}__wm2")
+            dm = mean - np.repeat(mean[starts], sizes)
+            N = np.add.reduceat(n, starts)
+            P1 = np.add.reduceat(n * dm, starts)
+            P2 = np.add.reduceat(m2 + n * dm * dm, starts)
+            with np.errstate(invalid="ignore", divide="ignore"):
+                D = np.where(N > 0, P1 / N, 0.0)
+                MEAN = mean[starts] + D
+                M2 = P2 - N * D * D
+            out = out.append_column(f"{col}__wmean", pa.array(MEAN))
+            out = out.append_column(f"{col}__wm2", pa.array(np.maximum(M2, 0.0)))
+            if order >= 3:
+                m3 = f64(f"{col}__wm3")
+                P3 = np.add.reduceat(m3 + 3 * dm * m2 + n * dm ** 3, starts)
+                M3 = P3 - 3 * D * P2 + 2 * N * D ** 3
+                out = out.append_column(f"{col}__wm3", pa.array(M3))
+            if order >= 4:
+                m4 = f64(f"{col}__wm4")
+                P4 = np.add.reduceat(
+                    m4 + 4 * dm * m3 + 6 * dm * dm * m2 + n * dm ** 4, starts)
+                M4 = P4 - 4 * D * P3 + 6 * D * D * P2 - 3 * N * D ** 4
+                out = out.append_column(f"{col}__wm4", pa.array(np.maximum(M4, 0.0)))
+        for tag in cov_pairs:
+            n = f64(f"{tag}__cn")
+            cmx = f64(f"{tag}__cmx")
+            cmy = f64(f"{tag}__cmy")
+            c2 = f64(f"{tag}__c2")
+            dx = cmx - np.repeat(cmx[starts], sizes)
+            dy = cmy - np.repeat(cmy[starts], sizes)
+            N = np.add.reduceat(n, starts)
+            Px = np.add.reduceat(n * dx, starts)
+            Py = np.add.reduceat(n * dy, starts)
+            P11 = np.add.reduceat(c2 + n * dx * dy, starts)
+            with np.errstate(invalid="ignore", divide="ignore"):
+                Dx = np.where(N > 0, Px / N, 0.0)
+                Dy = np.where(N > 0, Py / N, 0.0)
+                C2 = P11 - N * Dx * Dy
+            out = out.append_column(f"{tag}__cn", pa.array(N.astype(np.int64)))
+            out = out.append_column(f"{tag}__cmx", pa.array(cmx[starts] + Dx))
+            out = out.append_column(f"{tag}__cmy", pa.array(cmy[starts] + Dy))
+            out = out.append_column(f"{tag}__c2", pa.array(C2))
+        return out
+
     mb = merge_welford if (moment_orders or cov_pairs) else merge_batch
     if merge == "tree":
-        merged = (
-            partial_ds.repartition(shuffle_partitions)
-            .map_batches(mb, batch_format="pyarrow", batch_size=None)
-            .repartition(1)
-            .map_batches(mb, batch_format="pyarrow", batch_size=None)
-        )
+        # a global aggregate has one partial row per input block
+        merged = tree_reduce(partial_ds, mb, shuffle_partitions if keys else 1)
     else:
         merged = hash_partition_reduce(
             partial_ds, global_key, mb, num_parts=shuffle_partitions * 32)
@@ -578,19 +604,15 @@ def topk(ds, sort_cols: Sequence[tuple[str, bool]], k: int,
     partial top-k tasks, then one final over <= tree_width*k rows — the
     final task's input is bounded by tree_width*k regardless of how many
     blocks the input had (no num_blocks*k funnel). No Ray sort anywhere."""
-    by = [c for c, _ in sort_cols]
-    asc = [not d for _, d in sort_cols]
+    sort_keys = [(c, "descending" if d else "ascending") for c, d in sort_cols]
 
-    def partial(df):
-        return df.sort_values(by, ascending=asc, kind="mergesort").head(k)
+    def partial(t: pa.Table) -> pa.Table:
+        t = t.replace_schema_metadata(None)  # see hash_partition_reduce
+        return t.take(pc.sort_indices(t, sort_keys=sort_keys)[:k])
 
-    reduced = (
-        ds.map_batches(partial, batch_format="pandas", batch_size=None)
-        .repartition(tree_width)
-        .map_batches(partial, batch_format="pandas", batch_size=None)
-        .repartition(1)
-    )
-    return reduced.map_batches(partial, batch_format="pandas", batch_size=None)
+    return tree_reduce(
+        ds.map_batches(partial, batch_format="pyarrow", batch_size=None),
+        partial, tree_width)
 
 
 # ---------------------------------------------------------------------------
@@ -951,6 +973,7 @@ def first_by(ds, group_keys: Sequence[str], order_cols: Sequence[str],
     def winners(t: pa.Table) -> pa.Table:
         # stable sort (nulls last), then each group's first sorted row; the
         # rows stay Arrow, so key dtypes never change between stages
+        t = t.replace_schema_metadata(None)  # see hash_partition_reduce
         t = t.take(pc.sort_indices(t, sort_keys=sort_keys))
         pos = t.select(group_keys).append_column(
             "__pos", pa.array(np.arange(len(t), dtype=np.int64)))
@@ -1106,6 +1129,13 @@ def tumbling_window_col(ds, ts_col: str, out_col: str, size_us: int):
     return ds.map_batches(add, batch_format="pyarrow", batch_size=None)
 
 
+def _code_groups(codes: np.ndarray) -> dict:
+    """{code: positions of the rows holding it} (positions ascending)."""
+    order = np.argsort(codes, kind="stable")
+    uniq, first = np.unique(codes[order], return_index=True)
+    return dict(zip(uniq.tolist(), np.split(order, first[1:])))
+
+
 def asof_join(left_ds, right_ds, *, on: str, by: Sequence[str] = (),
               direction: str = "backward", suffix: str = "_r",
               num_parts: int | None = None):
@@ -1122,8 +1152,6 @@ def asof_join(left_ds, right_ds, *, on: str, by: Sequence[str] = (),
     searchsorted exact without any single-task funnel. Within each
     partition: sort right by on, np.searchsorted per left row — fully
     vectorized, no per-row Python."""
-    import pandas as pd
-
     by = list(by)
     if direction not in ("backward", "forward"):
         raise ValueError("direction must be 'backward' or 'forward'")
@@ -1176,15 +1204,9 @@ def asof_join(left_ds, right_ds, *, on: str, by: Sequence[str] = (),
         match = np.full(n, -1, np.int64)
         if right_pos.size:
             ons = t[on].to_numpy(zero_copy_only=False)
-            if by:
-                kdf = t.select(by).to_pandas()
-                groups_l = kdf.iloc[left_pos].reset_index(drop=True) \
-                    .groupby(by, sort=False, dropna=False).indices
-                groups_r = kdf.iloc[right_pos].reset_index(drop=True) \
-                    .groupby(by, sort=False, dropna=False).indices
-            else:
-                groups_l = {(): np.arange(n)}
-                groups_r = {(): np.arange(right_pos.size)}
+            codes = key_codes(t, by)  # by=() gives one group
+            groups_l = _code_groups(codes[left_pos])
+            groups_r = _code_groups(codes[right_pos])
             for k, li in groups_l.items():
                 ri = groups_r.get(k)
                 if ri is None or ri.size == 0:
@@ -1314,8 +1336,6 @@ def rolling_agg(ds, *, by: Sequence[str], on: str, value: str,
     min/max via NaN-ignoring fmin/fmax; an all-null window yields null.
 
     Output: input columns + roll_<agg> columns."""
-    import pandas as pd
-
     by = list(by)
     supported = {"sum", "count", "mean", "min", "max"}
     for a in aggs:
@@ -1323,20 +1343,12 @@ def rolling_agg(ds, *, by: Sequence[str], on: str, value: str,
             raise ValueError(f"unsupported rolling agg {a}")
 
     def part(t: pa.Table) -> pa.Table:
-        if len(t) == 0:
-            return t
-        df = t.to_pandas()
-        ts = pc.cast(pc.cast(t[on], pa.timestamp("us")), pa.int64()) \
-            .to_numpy(zero_copy_only=False)
-        df["__ts"] = ts
-        df = df.sort_values(by + ["__ts"], kind="mergesort", ignore_index=True)
-        tsv = df["__ts"].to_numpy()
-        v = df[value].to_numpy().astype(np.float64)
-        # key-group boundaries
-        keys = df[by].to_numpy()
-        change = np.flatnonzero((keys[1:] != keys[:-1]).any(axis=1)) + 1
-        starts = np.concatenate([[0], change, [len(df)]])
-        out = {a: np.empty(len(df)) for a in aggs}
+        t = t.append_column("__ts", pc.cast(pc.cast(t[on], pa.timestamp("us")), pa.int64()))
+        t, starts = sort_segments(t, by, [("__ts", "ascending")])
+        tsv = t["__ts"].to_numpy(zero_copy_only=False)
+        v = pc.cast(t[value], pa.float64()).to_numpy(zero_copy_only=False)
+        starts = np.append(starts, len(t))
+        out = {a: np.empty(len(t)) for a in aggs}
         needs_minmax = any(a in ("min", "max") for a in aggs)
         for s, e in zip(starts[:-1], starts[1:]):
             t_seg = tsv[s:e]
@@ -1384,11 +1396,12 @@ def rolling_agg(ds, *, by: Sequence[str], on: str, value: str,
                         r_ = hi[sel] - (1 << j)
                         res[sel] = fn(tab[j][l_], tab[j][r_])
                     out[a][s:e] = res
+        t = t.drop_columns(["__ts"])
         for a in aggs:
             col = out[a]
-            df[f"roll_{a}"] = col.astype(np.int64) if a == "count" else col
-        df = df.drop(columns=["__ts"])
-        return _pd2pa(df, preserve_index=False)
+            t = t.append_column(f"roll_{a}", pa.array(
+                col.astype(np.int64) if a == "count" else col))
+        return t
 
     return hash_partition_reduce(ds, by, part, num_parts=num_parts)
 
@@ -1400,25 +1413,12 @@ def rank_within(ds, *, by: Sequence[str], order_by: Sequence[tuple[str, bool]],
     partition, ranks via a vectorized boundary scan. order_by:
     [(col, descending)]. Make the order total (tie-break column) for
     deterministic/oracle-matching output."""
-    import pandas as pd
-
     by = list(by)
-    ocols = [c for c, _ in order_by]
-    asc = [not d for _, d in order_by]
+    order = [(c, "descending" if d else "ascending") for c, d in order_by]
 
     def part(t: pa.Table) -> pa.Table:
-        if len(t) == 0:
-            return t.append_column(out_col, pa.array([], pa.int64()))
-        df = t.to_pandas().sort_values(by + ocols,
-                                       ascending=[True] * len(by) + asc,
-                                       kind="mergesort", ignore_index=True)
-        keys = df[by].to_numpy()
-        change = np.flatnonzero((keys[1:] != keys[:-1]).any(axis=1)) + 1
-        starts = np.concatenate([[0], change])
-        sizes = np.diff(np.concatenate([starts, [len(df)]]))
-        rn = np.arange(len(df), dtype=np.int64) - np.repeat(starts, sizes) + 1
-        df[out_col] = rn
-        return _pd2pa(df, preserve_index=False)
+        t, starts = sort_segments(t, by, order)
+        return t.append_column(out_col, pa.array(segment_positions(starts, len(t)) + 1))
 
     return hash_partition_reduce(ds, by, part, num_parts=num_parts)
 
@@ -1467,31 +1467,21 @@ def budget_take(ds, *, by: Sequence[str], order_col: str, weight_col: str,
     One hash shuffle by key (cluster-width partitions), one sort + segment
     prefix-sum per partition; never a global sort, never driver-side rows.
     Pass cum_col to keep the running total as an output column."""
-    import pandas as pd
-
     by = list(by)
     keep_cum = cum_col is not None
     cc = cum_col or "__cum"
 
     def part(t: pa.Table) -> pa.Table:
-        if len(t) == 0:
-            return t.append_column(cc, pa.array([], pa.float64())) \
-                if keep_cum else t
-        df = t.to_pandas().sort_values(by + [order_col], kind="mergesort",
-                                       ignore_index=True)
-        keys = df[by].to_numpy()
-        change = np.flatnonzero((keys[1:] != keys[:-1]).any(axis=1)) + 1
-        starts = np.concatenate([[0], change])
-        sizes = np.diff(np.concatenate([starts, [len(df)]]))
-        w = df[weight_col].to_numpy().astype(np.float64)
+        t, starts = sort_segments(t, by, [(order_col, "ascending")])
+        sizes = np.diff(np.append(starts, len(t)))
+        w = pc.cast(t[weight_col], pa.float64()).to_numpy(zero_copy_only=False)
         cum = np.cumsum(w)
         seg_base = np.repeat(cum[starts] - w[starts], sizes)
         run = cum - seg_base
-        df[cc] = run
-        df = df[run <= budget]
-        if not keep_cum:
-            df = df.drop(columns=[cc])
-        return _pd2pa(df, preserve_index=False)
+        if keep_cum:
+            t = t.append_column(cc, pa.array(run))
+        with np.errstate(invalid="ignore"):
+            return t.filter(pa.array(run <= budget))
 
     return hash_partition_reduce(ds, by, part, num_parts=num_parts)
 
@@ -1550,30 +1540,38 @@ def semi_join_hash(ds, right_ds, keys: Sequence[str], *, anti: bool = False,
                                  num_parts=num_parts)
 
 
+def _varchar(a: pa.Array) -> pa.Array:
+    """Non-NULL values as the text DuckDB's CAST(... AS VARCHAR) writes:
+    floats in shortest round-trip form with '.0' on integral values (as
+    Python's str), timestamps without trailing fractional zeros."""
+    if pa.types.is_floating(a.type):
+        return pa.array([str(x) for x in a.to_numpy(zero_copy_only=False)],
+                        pa.string())
+    s = pc.cast(a, pa.string())
+    if pa.types.is_timestamp(a.type):
+        s = pc.replace_substring_regex(
+            pc.replace_substring_regex(s, r"(\.\d*?)0+$", r"\1"), r"\.$", "")
+    return s
+
+
 def groupby_string_agg(ds, by: Sequence[str], value: str, order_col: str,
                        *, sep: str = ",", out: str = "agg",
                        num_parts: int | None = None):
-    """SQL `string_agg(value, sep ORDER BY order_col)` per key: one hash
+    """SQL `string_agg(value, sep ORDER BY order_col)` per key (NULL values
+    skipped; a key whose values are all NULL has no row): one hash
     shuffle by key; each partition sorts once and joins per-key value
     runs with a single vectorized `pc.binary_join` over list offsets —
     no per-group Python."""
     by = list(by)
 
     def part(t: pa.Table) -> pa.Table:
-        if len(t) == 0:
-            cols = {c: pa.array([], t[c].type) for c in by}
-            cols[out] = pa.array([], pa.string())
-            return pa.table(cols)
-        df = t.to_pandas().sort_values(by + [order_col], kind="mergesort",
-                                       ignore_index=True)
-        keys = df[by].to_numpy()
-        change = np.flatnonzero((keys[1:] != keys[:-1]).any(axis=1)) + 1
-        starts = np.concatenate([[0], change, [len(df)]]).astype(np.int32)
-        vals = pa.array(df[value].astype(str), pa.string())
-        la = pa.ListArray.from_arrays(pa.array(starts, pa.int32()), vals)
-        joined = pc.binary_join(la, sep)
-        cols = {c: pa.array(df[c].to_numpy()[starts[:-1]]) for c in by}
-        cols[out] = joined
+        t = t.filter(pc.is_valid(t[value]))  # SQL string_agg skips NULLs
+        t, starts = sort_segments(t, by, [(order_col, "ascending")])
+        vals = _varchar(t[value].combine_chunks())
+        la = pa.ListArray.from_arrays(
+            pa.array(np.append(starts, len(t)), pa.int32()), vals)
+        cols = {c: t[c].take(starts) for c in by}
+        cols[out] = pc.binary_join(la, sep)
         return pa.table(cols)
 
     return hash_partition_reduce(ds.select_columns(by + [value, order_col]),
@@ -1590,20 +1588,11 @@ def groupby_array_agg(ds, by: Sequence[str], value: str, order_col: str,
     by = list(by)
 
     def part(t: pa.Table) -> pa.Table:
-        if len(t) == 0:
-            cols = {c: pa.array([], t[c].type) for c in by}
-            cols[out] = pa.array([], pa.list_(t[value].type))
-            return pa.table(cols)
-        df = t.select(list(dict.fromkeys(by + [order_col]))).to_pandas()
-        perm = df.sort_values(by + [order_col],
-                              kind="mergesort").index.to_numpy()
-        keys = df[by].to_numpy()[perm]
-        change = np.flatnonzero((keys[1:] != keys[:-1]).any(axis=1)) + 1
-        starts = np.concatenate([[0], change, [len(df)]]).astype(np.int32)
-        vals = t[value].combine_chunks().take(pa.array(perm))
-        la = pa.ListArray.from_arrays(pa.array(starts, pa.int32()), vals)
-        cols = {c: t[c].combine_chunks().take(pa.array(perm[starts[:-1]]))
-                for c in by}
+        t, starts = sort_segments(t, by, [(order_col, "ascending")])
+        la = pa.ListArray.from_arrays(
+            pa.array(np.append(starts, len(t)), pa.int32()),
+            t[value].combine_chunks())
+        cols = {c: t[c].take(starts) for c in by}
         cols[out] = la
         return pa.table(cols)
 
@@ -1616,55 +1605,44 @@ def session_windows(ds, *, by: str, ts_col: str, gap,
                     order_cols: Sequence[str] = (),
                     sum_col: str | None = None,
                     num_parts: int | None = None):
-    """Per-key SESSION windows: a gap > `gap` (pandas Timedelta or us int)
-    between consecutive events starts a new session. Output one row per
-    session: (by, session_id 0-based per key, n_events, t_start, t_end
-    [, sum_<sum_col>]).
+    """Per-key SESSION windows: a gap > `gap` (pandas Timedelta, a string
+    such as "2h", or ns int) between consecutive events starts a new
+    session. Output one row per session: (by, session_id 0-based per key,
+    n_events, t_start, t_end [, sum_<sum_col>]); t_start/t_end keep the
+    input's timestamp type.
 
     One hash shuffle by key; sessionization inside each partition is a
     single sort + vectorized boundary scan + np.reduceat — replacing the
-    earlier groupby(key).map_groups form whose per-group pandas slicing
-    is the documented millions-of-tiny-groups trap."""
-    import pandas as pd
+    earlier groupby(key).map_groups form whose per-group slicing is the
+    documented millions-of-tiny-groups trap."""
+    import pandas as pd  # driver-side: parses the gap argument once
 
-    gap = pd.Timedelta(gap) if not isinstance(gap, pd.Timedelta) else gap
-    order_cols = list(order_cols)
+    gap_ns = pd.Timedelta(gap).value
+    order = [(ts_col, "ascending")] + [(c, "ascending") for c in order_cols]
 
     def part(t: pa.Table) -> pa.Table:
-        df = t.to_pandas()
-        if not len(df):
-            cols = {by: pa.array([], t[by].type),
-                    "session_id": pa.array([], pa.int64()),
-                    "n_events": pa.array([], pa.int64()),
-                    "t_start": pa.array([], t[ts_col].type),
-                    "t_end": pa.array([], t[ts_col].type)}
-            if sum_col:
-                cols[f"sum_{sum_col}"] = pa.array([], pa.float64())
-            return pa.table(cols)
-        df = df.sort_values([by, ts_col] + order_cols, kind="mergesort",
-                            ignore_index=True)
-        keys = df[by].to_numpy()
-        ts = df[ts_col].to_numpy()
-        new = np.ones(len(df), bool)
-        new[1:] = (keys[1:] != keys[:-1]) | \
-            ((ts[1:] - ts[:-1]) > np.timedelta64(gap.value, "ns"))
+        t, kstarts = sort_segments(t, [by], order)
+        n = len(t)
+        key_new = np.zeros(n, bool)
+        key_new[kstarts] = True
+        ts = pc.cast(pc.cast(t[ts_col], pa.timestamp("ns")), pa.int64()) \
+            .to_numpy(zero_copy_only=False)
+        new = key_new.copy()
+        new[1:] |= np.diff(ts) > gap_ns
         starts = np.flatnonzero(new)
-        sizes = np.diff(np.concatenate([starts, [len(df)]]))
+        sizes = np.diff(np.append(starts, n))
         # session id restarts at 0 per key
-        key_first = np.ones(starts.size, bool)
-        key_first[1:] = keys[starts[1:]] != keys[starts[:-1]]
         base = np.maximum.accumulate(
-            np.where(key_first, np.arange(starts.size), 0))
-        sid = np.arange(starts.size) - base
-        ends = starts + sizes - 1
-        cols = {by: pa.array(keys[starts]),
-                "session_id": pa.array(sid.astype(np.int64)),
-                "n_events": pa.array(sizes.astype(np.int64)),
-                "t_start": pa.array(ts[starts]),
-                "t_end": pa.array(ts[ends])}
+            np.where(key_new[starts], np.arange(starts.size), 0))
+        cols = {by: t[by].take(starts),
+                "session_id": pa.array(np.arange(starts.size) - base, pa.int64()),
+                "n_events": pa.array(sizes, pa.int64()),
+                "t_start": t[ts_col].take(starts),
+                "t_end": t[ts_col].take(starts + sizes - 1)}
         if sum_col:
-            v = df[sum_col].to_numpy(dtype=np.float64)
-            cols[f"sum_{sum_col}"] = pa.array(np.add.reduceat(v, starts))
+            v = pc.cast(t[sum_col], pa.float64()).to_numpy(zero_copy_only=False)
+            cols[f"sum_{sum_col}"] = pa.array(
+                np.add.reduceat(v, starts) if n else np.empty(0))
         return pa.table(cols)
 
     return hash_partition_reduce(ds, [by], part, num_parts=num_parts)
@@ -1679,61 +1657,59 @@ def funnel_steps(ds, *, by: str, ts_col: str, event_col: str,
     funnel breaks). One hash shuffle by key; each step is a vectorized
     masked segment-min over the partition's sorted rows — no per-key
     Python."""
-    import pandas as pd
-
     steps = list(steps)
 
     def part(t: pa.Table) -> pa.Table:
-        df = t.to_pandas()
-        ts_type = t[ts_col].type
-        if not len(df):
-            cols = {by: pa.array([], t[by].type),
-                    "depth": pa.array([], pa.int64())}
-            for i in range(len(steps)):
-                cols[f"t_{i + 1}"] = pa.array([], ts_type)
-            return pa.table(cols)
-        df = df.sort_values([by, ts_col], kind="mergesort",
-                            ignore_index=True)
-        keys = df[by].to_numpy()
-        ts = df[ts_col].to_numpy()
-        ev = df[event_col].to_numpy()
-        new = np.ones(len(df), bool)
-        new[1:] = keys[1:] != keys[:-1]
-        starts = np.flatnonzero(new)
+        t, starts = sort_segments(t, [by], [(ts_col, "ascending")])
+        ts = pc.cast(pc.cast(t[ts_col], pa.timestamp("us")), pa.int64()) \
+            .to_numpy(zero_copy_only=False)
+        new = np.zeros(len(t), bool)
+        new[starts] = True
         seg = np.cumsum(new) - 1          # segment id per row
         n_keys = starts.size
-        NAT = np.datetime64("NaT", "us")
-        prev = np.full(n_keys, np.datetime64("1677-09-22", "us"))
+        prev = np.full(n_keys, np.iinfo(np.int64).min)
         out_ts = []
         alive = np.ones(n_keys, bool)
         for s in steps:
             # min ts per segment among rows with event==s and ts >= prev
-            ok = (ev == s) & (ts >= prev[seg]) & alive[seg]
-            cur = np.full(n_keys, NAT)
+            ev = pc.fill_null(pc.equal(t[event_col], s), False) \
+                .to_numpy(zero_copy_only=False)
+            ok = ev & (ts >= prev[seg]) & alive[seg]
+            cur = np.zeros(n_keys, np.int64)
+            hit = np.zeros(n_keys, bool)
             idx = np.flatnonzero(ok)
-            if idx.size:
-                # rows are ts-sorted within segment: first ok row per
-                # segment is the min
-                first = np.ones(idx.size, bool)
-                first[1:] = seg[idx][1:] != seg[idx][:-1]
-                cur[seg[idx[first]]] = ts[idx[first]]
-            alive = alive & ~np.isnat(cur)
-            prev = np.where(np.isnat(cur), prev, cur)
-            out_ts.append(cur)
+            # rows are ts-sorted within segment: the first ok row per
+            # segment is the min
+            first = idx[_new_runs(seg[idx])]
+            cur[seg[first]] = ts[first]
+            hit[seg[first]] = True
+            alive &= hit
+            prev = np.where(hit, cur, prev)
+            out_ts.append((cur, hit))
         depth = np.zeros(n_keys, np.int64)
         done = np.ones(n_keys, bool)
-        for c in out_ts:
-            done = done & ~np.isnat(c)
+        for _, hit in out_ts:
+            done &= hit
             depth += done
-        cols = {by: pa.array(keys[starts]),
-                "depth": pa.array(depth)}
-        for i, c in enumerate(out_ts):
-            cols[f"t_{i + 1}"] = pa.array(c)  # NaT -> null
+        cols = {by: t[by].take(starts), "depth": pa.array(depth)}
+        ts_type = t[ts_col].type
+        for i, (cur, hit) in enumerate(out_ts):
+            cols[f"t_{i + 1}"] = pa.array(cur, mask=~hit).cast(
+                pa.timestamp("us")).cast(ts_type)
         return pa.table(cols)
 
     return hash_partition_reduce(
         ds.select_columns([by, ts_col, event_col]), [by], part,
         num_parts=num_parts)
+
+
+def _new_runs(*cols: np.ndarray) -> np.ndarray:
+    """True at row 0 and wherever any of the (sorted) columns changes."""
+    new = np.zeros(len(cols[0]), bool)
+    new[:1] = True
+    for c in cols:
+        new[1:] |= c[1:] != c[:-1]
+    return new
 
 
 def cohort_retention(ds, *, by: str, ts_col: str, period: str = "W",
@@ -1743,40 +1719,31 @@ def cohort_retention(ds, *, by: str, ts_col: str, period: str = "W",
     distinct). One hash shuffle by key (each key's rows co-locate, so its
     cohort and distinct active periods compute locally), then the
     vocabulary-sized (cohort, age) count merges through a second tiny
-    reduce. period: pandas offset alias ('W' weeks from epoch Thursday?
-    no — computed as floor(ts / 7d) weeks, restatable in SQL)."""
-    import pandas as pd
-
+    reduce. period: "D" days or "W" weeks, computed as floor(epoch_us /
+    period), restatable in SQL."""
     unit_us = {"D": 86400_000_000, "W": 7 * 86400_000_000}[period]
 
     def part(t: pa.Table) -> pa.Table:
-        df = t.to_pandas()
-        if not len(df):
-            return pa.table({"cohort": pa.array([], pa.int64()),
-                             "age": pa.array([], pa.int64()),
-                             "n": pa.array([], pa.int64())})
-        us = df[ts_col].astype("int64").to_numpy()  # timestamp[us] -> us
+        us = pc.cast(pc.cast(t[ts_col], pa.timestamp("us")), pa.int64()) \
+            .to_numpy(zero_copy_only=False)
         per = us // unit_us
-        key = df[by].to_numpy()
+        key = key_codes(t, [by])
         order = np.lexsort((per, key))
         key, per = key[order], per[order]
-        new = np.ones(key.size, bool)
-        new[1:] = key[1:] != key[:-1]
+        new = _new_runs(key)
         seg = np.cumsum(new) - 1
         cohort = per[new][seg]          # first (min) period per key
         age = per - cohort
         # distinct (key, age) pairs -> count per (cohort, age)
-        d = np.ones(key.size, bool)
-        d[1:] = (key[1:] != key[:-1]) | (age[1:] != age[:-1])
+        d = _new_runs(key, age)
         ck, ak = cohort[d], age[d]
         o2 = np.lexsort((ak, ck))
         ck, ak = ck[o2], ak[o2]
-        n2 = np.ones(ck.size, bool)
-        n2[1:] = (ck[1:] != ck[:-1]) | (ak[1:] != ak[:-1])
+        n2 = _new_runs(ck, ak)
         gid = np.cumsum(n2) - 1
-        cnt = np.bincount(gid).astype(np.int64)
-        return pa.table({"cohort": pa.array(ck[n2]),
-                         "age": pa.array(ak[n2]),
+        cnt = np.bincount(gid, minlength=int(n2.sum())).astype(np.int64)
+        return pa.table({"cohort": pa.array(ck[n2], pa.int64()),
+                         "age": pa.array(ak[n2], pa.int64()),
                          "n": pa.array(cnt)})
 
     parts = hash_partition_reduce(ds.select_columns([by, ts_col]), [by],

@@ -13,8 +13,8 @@ import numpy as np
 import pyarrow as pa
 import pyarrow.compute as pc
 
-from gdal_ray.ops.relational import arrow_group_by
-from gdal_ray.util import canonical_float_keys, hash_column, pd_to_arrow as _pd2pa
+from gdal_ray.ops.relational import arrow_group_by, tree_reduce
+from gdal_ray.util import canonical_float_keys, hash_column
 
 
 def hll_sketch(h: np.ndarray, p: int = 12) -> np.ndarray:
@@ -176,45 +176,31 @@ def groupby_quantiles(ds, by, value: str, qs=(0.5,), *,
     One hash shuffle by key; within each partition the per-key rank
     select is one sort + vectorized boundary scan — no per-group Python.
     Output columns: by + [f"q{q}" with '.'->'_'] (e.g. q0_5)."""
-    import pandas as pd
-
-    from gdal_ray.ops.relational import hash_partition_reduce
+    from gdal_ray.ops.relational import hash_partition_reduce, sort_segments
 
     by = list(by)
     qs = [float(q) for q in np.atleast_1d(qs)]
     qnames = ["q" + str(q).replace(".", "_") for q in qs]
 
     def part(t: pa.Table) -> pa.Table:
-        df = t.to_pandas()
-        df = df[df[value].notna()]
-        if not len(df):
-            cols = {c: pa.array([], t[c].type) for c in by}
-            for qn in qnames:
-                cols[qn] = pa.array([], pa.float64() if interpolate
-                                    else t[value].type)
-            return pa.table(cols)
-        df = df.sort_values(by + [value], kind="mergesort",
-                            ignore_index=True)
-        keys = df[by].to_numpy()
-        change = np.flatnonzero((keys[1:] != keys[:-1]).any(axis=1)) + 1
-        starts = np.concatenate([[0], change])
-        ends = np.concatenate([change, [len(df)]])
-        sizes = ends - starts
-        vals = df[value].to_numpy()
-        out = {c: df[c].to_numpy()[starts] for c in by}
+        t = t.filter(pc.is_valid(t[value]))  # SQL skips NULLs
+        t, starts = sort_segments(t, by, [(value, "ascending")])
+        sizes = np.diff(np.append(starts, len(t)))
+        vals = t[value]
+        out = {c: t[c].take(starts) for c in by}
         for q, qn in zip(qs, qnames):
             if interpolate:
                 pos = q * (sizes - 1).astype(np.float64)
                 lo = np.floor(pos).astype(np.int64)
                 hi = np.minimum(lo + 1, sizes - 1)
                 frac = pos - lo
-                v = vals.astype(np.float64)
-                out[qn] = (v[starts + lo] * (1.0 - frac)
-                           + v[starts + hi] * frac)
+                v = pc.cast(vals, pa.float64()).to_numpy(zero_copy_only=False)
+                out[qn] = pa.array(v[starts + lo] * (1.0 - frac)
+                                   + v[starts + hi] * frac, pa.float64())
             else:
                 rank = np.maximum(np.ceil(q * sizes).astype(np.int64), 1)
-                out[qn] = vals[starts + rank - 1]
-        return _pd2pa(pd.DataFrame(out), preserve_index=False)
+                out[qn] = vals.take(starts + rank - 1)
+        return pa.table(out)
 
     return hash_partition_reduce(ds.select_columns(by + [value]), by, part,
                                  num_parts=num_parts)
@@ -299,13 +285,9 @@ def heavy_hitters(ds, col: str, *, phi: float, tree_width: int = 16):
                       "n": pc.cast(vc.field("counts"), pa.int64())})
         return _mg_truncate(p)
 
-    summary = (
-        ds.map_batches(partial, batch_format="pyarrow", batch_size=None)
-        .repartition(tree_width)
-        .map_batches(_mg_truncate, batch_format="pyarrow", batch_size=None)
-        .repartition(1)
-        .map_batches(_mg_truncate, batch_format="pyarrow", batch_size=None)
-    )
+    summary = tree_reduce(
+        ds.map_batches(partial, batch_format="pyarrow", batch_size=None),
+        _mg_truncate, tree_width)
     from gdal_ray.util import to_arrow
 
     cands = to_arrow(summary)[col].combine_chunks()

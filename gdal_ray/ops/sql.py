@@ -52,7 +52,7 @@ from typing import Any
 import numpy as np
 import pyarrow as pa
 
-from gdal_ray.util import canonical_floats, pd_to_arrow as _pd2pa
+from gdal_ray.util import canonical_floats
 import pyarrow.compute as pc
 
 # ---------------------------------------------------------------------------
@@ -2159,15 +2159,22 @@ def _resolve_core_scopes(core: Select, sf_dir: str, outer_renamed: set,
     # rewrite this core's expressions (group_by/order_by strings included).
     # An unaliased column item that resolves to a renamed (dotted) column
     # keeps its UNQUALIFIED output name, SQL naming rules (SELECT n1.n_name
-    # outputs column n_name).
+    # outputs column n_name); a name an earlier item already outputs gets
+    # DuckDB's _1, _2, ... suffix (SELECT a.n_name, b.n_name outputs
+    # n_name, n_name_1).
     new_items = []
-    for e, a in core.items:
+    taken = set()
+    for idx, (e, a) in enumerate(core.items):
         ne = _rewrite_qualified(e, renamed, bare_map, {})
         if (a is None and isinstance(ne, Node) and ne.kind == "col"
                 and isinstance(ne.value, str) and "." in ne.value
                 and ne.value.split(".", 1)[0].lower() in renamed):
-            a = ne.value.split(".", 1)[1]
+            a = base = ne.value.split(".", 1)[1]
+            while a in taken:
+                a = f"{base}_{int(a[len(base) + 1:] or 0) + 1}"
         new_items.append((ne, a))
+        if isinstance(ne, Node) and ne.kind != "star":
+            taken.add(_item_name(ne, a, idx))
     core.items = new_items
     core.where = _rewrite_qualified(core.where, renamed, bare_map, {})
     core.having = _rewrite_qualified(core.having, renamed, bare_map, {})
@@ -2379,6 +2386,24 @@ def _sql_in(x, vals: pa.Array):
         return hit
     unknown = pc.invert(hit) if vals.null_count else pc.is_null(x)
     return pc.if_else(unknown, pa.scalar(None, pa.bool_()), hit)
+
+
+_NUM_RE = r"(?i)^(-?(\d+\.?\d*|\.\d+)(e[+-]?\d+)?|-?inf(inity)?|nan)$"
+_ISO_TS_RE = r"^\d{4}-\d{2}-\d{2}([ T]\d{2}:\d{2}(:\d{2}(\.\d+)?)?)?$"
+
+
+def _try_int(x):
+    """One integer string as an int64 value, None outside int64."""
+    v = None if x is None else int(x)
+    return v if v is not None and -2 ** 63 <= v < 2 ** 63 else None
+
+
+def _try_ts(x):
+    """One ISO string as a timestamp[us] value, None if it names no time."""
+    try:
+        return None if x is None else pc.cast(pa.scalar(x), pa.timestamp("us")).as_py()
+    except pa.ArrowInvalid:
+        return None
 
 
 def eval_expr(node: Node, t: pa.Table):
@@ -2740,20 +2765,24 @@ def eval_expr(node: Node, t: pa.Table):
                     pa.int64()), sec * 1_000_000)
             raise ValueError(f"DATE_DIFF: unsupported part {part!r}")
         if fn == "make_date":
-            import pandas as pd
-
-            y = pc.cast(eval_expr(node.args[0], t), pa.int64())
-            m = pc.cast(eval_expr(node.args[1], t), pa.int64())
-            d = pc.cast(eval_expr(node.args[2], t), pa.int64())
-
-            def _np(v):
+            valid = np.ones(len(t), bool)
+            ymd = []
+            for a in node.args[:3]:
+                v = pc.cast(eval_expr(a, t), pa.int64())
                 if isinstance(v, pa.Scalar):
-                    return np.full(len(t), v.as_py())
-                return v.to_numpy(zero_copy_only=False)
-
-            ts = pd.to_datetime({"year": _np(y), "month": _np(m),
-                                 "day": _np(d)})
-            return pc.cast(pa.Array.from_pandas(ts), pa.date32())
+                    valid &= v.is_valid
+                    ymd.append(np.full(len(t), v.as_py() if v.is_valid else 1))
+                else:
+                    valid &= pc.is_valid(v).to_numpy(zero_copy_only=False)
+                    ymd.append(pc.fill_null(v, 1).to_numpy(zero_copy_only=False))
+            y, m, d = ymd
+            months = (y - 1970) * 12 + (m - 1)
+            days = months.astype("datetime64[M]").astype("datetime64[D]") + (d - 1)
+            bad = valid & ((m < 1) | (m > 12) | (days.astype("datetime64[M]")
+                                                  .astype(np.int64) != months))
+            if bad.any():
+                raise ValueError("MAKE_DATE: no such date")
+            return pa.array(days, pa.date32(), mask=~valid)
         if fn == "last_day":
             v = pc.cast(eval_expr(node.args[0], t), pa.timestamp("us"))
             nxt = pc.ceil_temporal(v, unit="month",
@@ -2938,10 +2967,9 @@ def eval_expr(node: Node, t: pa.Table):
         return pc.cast(v, ty)
     if k == "trycast":
         # TRY_CAST: per-row NULL on conversion failure (DuckDB). String ->
-        # numeric/temporal coerces via vectorized pandas; other casts that
-        # cannot fail per-row fall through to plain CAST semantics.
-        import pandas as pd
-
+        # numeric/temporal casts only the rows whose text has that shape;
+        # other casts that cannot fail per-row fall through to plain CAST
+        # semantics.
         ty = {"INTEGER": pa.int32(), "BIGINT": pa.int64(),
               "FLOAT": pa.float64(), "DOUBLE": pa.float64(),
               "TEXT": pa.string(), "VARCHAR": pa.string(),
@@ -2953,18 +2981,43 @@ def eval_expr(node: Node, t: pa.Table):
         src = _type_of(v)
         if pa.types.is_string(src) and (pa.types.is_integer(ty)
                                         or pa.types.is_floating(ty)):
-            num = pd.to_numeric(v.to_pandas(), errors="coerce")
-            arr = pa.Array.from_pandas(num)
-            if pa.types.is_integer(ty) and pa.types.is_floating(
-                    _type_of(arr)):
-                # DuckDB TRY_CAST('3.5' AS BIGINT) rounds half-to-even
-                arr = pc.round(arr, ndigits=0, round_mode="half_to_even")
+            sv = pc.replace_substring_regex(
+                pc.utf8_trim_whitespace(v), r"^\+", "")
+            null = pa.scalar(None, pa.string())
+            arr = pc.cast(pc.if_else(pc.match_substring_regex(sv, _NUM_RE),
+                                     sv, null), pa.float64())
+            if pa.types.is_integer(ty):
+                # DuckDB TRY_CAST('2.5' AS INTEGER) rounds half away from
+                # zero; integer text casts exactly; a value outside the
+                # target type is NULL
+                isint = pc.match_substring_regex(sv, r"^-?\d+$")
+                txt = pc.if_else(isint, sv, null)
+                try:
+                    ints = pc.cast(txt, pa.int64())
+                except pa.ArrowInvalid:  # integer text outside int64
+                    ints = pa.array([_try_int(x) for x in txt.to_pylist()],
+                                    pa.int64())
+                lim = 2.0 ** (ty.bit_width - 1)
+                fl = pc.round(arr, ndigits=0,
+                              round_mode="half_towards_infinity")
+                fl = pc.if_else(pc.and_(pc.greater_equal(fl, -lim),
+                                        pc.less(fl, lim)), fl, None)
+                arr = pc.if_else(isint, ints, pc.cast(fl, pa.int64()))
+                if ty.bit_width < 64:
+                    arr = pc.if_else(pc.and_(pc.greater_equal(arr, int(-lim)),
+                                             pc.less(arr, int(lim))), arr, None)
             return pc.cast(arr, ty, safe=False)
         if pa.types.is_string(src) and (pa.types.is_date(ty)
                                         or pa.types.is_timestamp(ty)):
-            ts = pd.to_datetime(v.to_pandas(), errors="coerce",
-                                format="ISO8601")
-            return pc.cast(pa.Array.from_pandas(ts), ty, safe=False)
+            sv = pc.utf8_trim_whitespace(v)
+            sv = pc.if_else(pc.match_substring_regex(sv, _ISO_TS_RE), sv,
+                            pa.scalar(None, pa.string()))
+            try:
+                ts = pc.cast(sv, pa.timestamp("us"))
+            except pa.ArrowInvalid:  # ISO-shaped but no such time
+                ts = pa.array([_try_ts(x) for x in sv.to_pylist()],
+                              pa.timestamp("us"))
+            return pc.cast(ts, ty, safe=False)
         if pa.types.is_integer(ty) and pa.types.is_floating(src):
             v = pc.round(v, ndigits=0, round_mode="half_to_even")
         return pc.cast(v, ty)
@@ -3974,8 +4027,7 @@ def _run_recursive_cte(name: str, base: Select, step: Select,
     against everything seen; UNION ALL stops when the step yields no
     rows. Reference shape: ops/graph.py frontier rounds, whose DuckDB
     oracles were recursive CTEs — this closes that loop in SQL."""
-    import pandas as pd
-
+    from gdal_ray.ops.relational import key_codes
     from gdal_ray.util import to_arrow
 
     def run_core(core: Select) -> pa.Table:
@@ -3989,20 +4041,18 @@ def _run_recursive_cte(name: str, base: Select, step: Select,
                                       c.offset)).combine_chunks()
 
     def dedup(t: pa.Table) -> pa.Table:
-        if t.num_rows == 0:
-            return t
-        df = t.to_pandas()
-        return _pd2pa(df.drop_duplicates()).cast(t.schema)
+        # first occurrence of each distinct row (NULLs equal, as in UNION)
+        first = np.unique(key_codes(t, t.column_names), return_index=True)[1]
+        return t.take(np.sort(first))
 
     def anti(new: pa.Table, seen: pa.Table) -> pa.Table:
         if new.num_rows == 0 or seen.num_rows == 0:
             return new
-        nd = new.to_pandas()
-        sd = seen.to_pandas()
-        m = nd.merge(sd.drop_duplicates(), how="left", indicator=True,
-                     on=list(nd.columns))
-        return _pd2pa(m[m["_merge"] == "left_only"]
-                      .drop(columns=["_merge"])).cast(new.schema)
+        both = pa.concat_tables(
+            [new, seen.select(new.column_names).cast(new.schema)])
+        codes = key_codes(both, new.column_names)
+        return new.filter(pa.array(
+            ~np.isin(codes[:new.num_rows], codes[new.num_rows:])))
 
     total = run_core(base)
     names = total.column_names
@@ -4433,10 +4483,31 @@ def _frame_bounds(frame, ctx):
     return lo, hi
 
 
-def _eval_window_fn(fnode: Node, df, ctx: dict, frame=None):
-    """One window column over the sorted partition frame. ctx carries the
-    vectorized segment/peer geometry (see _window_pass). frame is an
-    optional explicit ROWS frame (ranking functions ignore it, per SQL)."""
+def _pick(col, idx: np.ndarray, bad=None):
+    """col.take(idx) with NULL where bad is set; the column keeps its type."""
+    if bad is not None and bad.any():
+        idx = pa.array(np.where(bad, 0, idx), pa.int64(), mask=bad)
+    return col.take(idx)
+
+
+def _fill_bad(out, bad: np.ndarray, fill):
+    """Replace the rows where bad is set with the constant fill (NULL when
+    fill is None); the output takes the common type of out and fill."""
+    if fill is None or not bad.any():
+        return out
+    return pc.if_else(pa.array(~bad), out, pa.scalar(fill))
+
+
+def _f64(col) -> np.ndarray:
+    """A column as float64 numpy, NULL as NaN."""
+    return pc.cast(col, pa.float64()).to_numpy(zero_copy_only=False)
+
+
+def _eval_window_fn(fnode: Node, t: pa.Table, ctx: dict, frame=None):
+    """One window column over the sorted partition table t. ctx carries
+    the vectorized segment/peer geometry (see _window_pass). frame is an
+    optional explicit ROWS frame (ranking functions ignore it, per SQL).
+    Returns a numpy array (NaN read as NULL) or an Arrow array."""
     n = ctx["n"]
     pos, sizes_rep = ctx["pos"], ctx["sizes_rep"]
     starts, ends, starts_rep = ctx["starts"], ctx["ends"], ctx["starts_rep"]
@@ -4458,7 +4529,6 @@ def _eval_window_fn(fnode: Node, df, ctx: dict, frame=None):
                 raise ValueError(
                     "FIRST_VALUE/LAST_VALUE/NTH_VALUE supports plain "
                     "columns only")
-            s = df[colnode.value]
             if fnode.value == "nth_value":
                 k = int(_const_value(fnode.args[1]))
                 raw = lo + (k - 1)
@@ -4467,11 +4537,7 @@ def _eval_window_fn(fnode: Node, df, ctx: dict, frame=None):
             else:
                 idx = np.clip(lo if fnode.value == "first_value" else hi,
                               0, max(n - 1, 0))
-            out = s.to_numpy()[idx] if n else s.to_numpy()
-            if empty.any():
-                out = out.astype(object)
-                out[empty] = None
-            return out
+            return _pick(t[colnode.value], idx, empty)
         akind, col = fnode.value
         loc = np.clip(lo, 0, n)  # raw lo may exceed the segment (empty)
         hic = np.clip(hi + 1, 0, n)
@@ -4480,7 +4546,7 @@ def _eval_window_fn(fnode: Node, df, ctx: dict, frame=None):
             return (hic - loc).astype(np.int64)
         if not isinstance(col, str):
             raise ValueError("windowed aggregates support plain columns only")
-        v = df[col].astype("float64").to_numpy()
+        v = _f64(t[col])
         valid = ~np.isnan(v)
         vz = np.where(valid, v, 0.0)
         ccnt = np.concatenate([[0], np.cumsum(valid.astype(np.int64))])
@@ -4561,9 +4627,8 @@ def _eval_window_fn(fnode: Node, df, ctx: dict, frame=None):
             raise ValueError("IGNORE NULLS supports plain columns only")
         if not has_order:
             raise ValueError(f"{base.upper()} requires ORDER BY")
-        s = df[colnode.value]
-        arr = s.to_numpy()
-        valid = s.notna().to_numpy()
+        col = t[colnode.value]
+        valid = pc.is_valid(col).to_numpy(zero_copy_only=False)
         ccnt = np.concatenate([[0], np.cumsum(valid.astype(np.int64))])
         validpos = np.flatnonzero(valid)
         i = np.arange(n, dtype=np.int64)
@@ -4593,33 +4658,21 @@ def _eval_window_fn(fnode: Node, df, ctx: dict, frame=None):
             idx = np.zeros(n, np.int64)
         else:
             idx = validpos[np.clip(ordv, 0, validpos.size - 1)]
-        out = arr[idx] if n else arr
         fill = None
         if base in ("lag", "lead") and len(fnode.args) > 2 \
                 and fnode.args[2] is not None:
             fill = _const_value(fnode.args[2])
-        if n and (~ok).any():
-            if out.dtype.kind == "f":
-                out = out.copy()
-                out[~ok] = np.nan if fill is None else fill
-            elif out.dtype.kind in "iu" and fill is not None:
-                out = out.copy()
-                out[~ok] = fill
-            else:
-                out = out.astype(object)
-                out[~ok] = fill
-        return out
+        return _fill_bad(_pick(col, idx, ~ok), ~ok, fill)
     if fnode.kind == "call" and fnode.value in ("first_value", "last_value"):
         (colnode,) = fnode.args
         if colnode.kind != "col":
             raise ValueError("FIRST_VALUE/LAST_VALUE supports plain columns only")
         if not has_order:
             raise ValueError("FIRST_VALUE/LAST_VALUE requires ORDER BY")
-        arr = df[colnode.value].to_numpy()
         # default frame RANGE UNBOUNDED PRECEDING..CURRENT ROW: first is
         # the partition head, last is the current row's last peer
         idx = starts_rep if fnode.value == "first_value" else peer_end
-        return arr[idx] if n else arr
+        return _pick(t[colnode.value], idx)
     if fnode.kind == "call" and fnode.value == "nth_value":
         colnode, nn = fnode.args
         if colnode.kind != "col":
@@ -4627,15 +4680,10 @@ def _eval_window_fn(fnode: Node, df, ctx: dict, frame=None):
         if not has_order:
             raise ValueError("NTH_VALUE requires ORDER BY")
         k = int(_const_value(nn))
-        arr = df[colnode.value].to_numpy()
         raw = starts_rep + (k - 1)
         # default frame UP..CURRENT-peers: NULL until the nth row enters
-        ok = raw <= peer_end
-        out = arr[np.clip(raw, 0, max(n - 1, 0))] if n else arr
-        if n and (~ok).any():
-            out = out.astype(object)
-            out[~ok] = None
-        return out
+        return _pick(t[colnode.value], np.clip(raw, 0, max(n - 1, 0)),
+                     raw > peer_end)
     if fnode.kind == "call" and fnode.value in ("lag", "lead"):
         colnode, offn, defn = fnode.args
         if colnode.kind != "col":
@@ -4643,21 +4691,13 @@ def _eval_window_fn(fnode: Node, df, ctx: dict, frame=None):
         if not has_order:
             raise ValueError("LAG/LEAD requires ORDER BY")
         k = 1 if offn is None else int(_const_value(offn))
-        s = df[colnode.value]
+        i = np.arange(n, dtype=np.int64)
         if fnode.value == "lag":
-            shifted = s.shift(k)
-            bad = pos < k
+            idx, bad = i - k, pos < k
         else:
-            shifted = s.shift(-k)
-            bad = pos >= sizes_rep - k
-        out = shifted.to_numpy(copy=True)
-        fill = (_const_value(defn) if defn is not None
-                else (None if out.dtype == object else np.nan))
-        if out.dtype.kind in "iu" and fill is None:
-            out = out.astype(np.float64)
-            fill = np.nan
-        out[bad] = fill
-        return out
+            idx, bad = i + k, pos >= sizes_rep - k
+        out = _pick(t[colnode.value], np.clip(idx, 0, max(n - 1, 0)), bad)
+        return _fill_bad(out, bad, None if defn is None else _const_value(defn))
     if fnode.kind == "agg":
         akind, col = fnode.value
         if akind == "count_star":
@@ -4665,7 +4705,7 @@ def _eval_window_fn(fnode: Node, df, ctx: dict, frame=None):
             return out.astype(np.int64)
         if not isinstance(col, str):
             raise ValueError("windowed aggregates support plain columns only")
-        v = df[col].astype("float64").to_numpy()
+        v = _f64(t[col])
         valid = ~np.isnan(v)
         vz = np.where(valid, v, 0.0)
         if not has_order:  # unbounded frame: one value per partition
@@ -4706,65 +4746,54 @@ def _window_pass(ds, part_cols: list, order_spec: list, jobs: list):
     hash to one partition (same as rank_within, ops/relational.py); an
     empty PARTITION BY is an inherent single-partition funnel — the SQL
     semantics demand a global view — and is documented as such."""
-    import pandas as pd
-
-    from gdal_ray.ops.relational import hash_partition_reduce
+    from gdal_ray.ops.relational import (hash_partition_reduce, key_codes,
+                                         sort_segments)
 
     ocols = [c for c, _ in order_spec]
-    oasc = [True] * len(part_cols) + [not d for _, d in order_spec]
+    order = [(c, "descending" if d else "ascending") for c, d in order_spec]
     is_global = not part_cols
 
     def wpart(t: pa.Table) -> pa.Table:
         if is_global and "__wk" in t.column_names:
             t = t.drop_columns(["__wk"])
-        df = t.to_pandas()
-        n = len(df)
-        sort_cols = part_cols + ocols
-        if sort_cols:
-            df = df.sort_values(sort_cols, ascending=oasc,
-                                kind="mergesort", ignore_index=True)
-        if part_cols and n:
-            keys = df[part_cols].to_numpy()
-            change = np.flatnonzero((keys[1:] != keys[:-1]).any(axis=1)) + 1
-        else:
-            change = np.array([], np.int64)
-        starts = np.concatenate([[0], change]).astype(np.int64) if n else \
-            np.array([], np.int64)
-        ends = np.concatenate([change, [n]]).astype(np.int64) if n else \
-            np.array([], np.int64)
+        t, starts = sort_segments(t, part_cols, order)
+        n = len(t)
+        ends = np.append(starts[1:], n).astype(np.int64)
         sizes = ends - starts
         starts_rep = np.repeat(starts, sizes)
         sizes_rep = np.repeat(sizes, sizes)
         pos = np.arange(n) - starts_rep
         ctx = {"n": n, "pos": pos, "sizes_rep": sizes_rep, "starts": starts,
                "ends": ends, "starts_rep": starts_rep, "sizes": sizes}
-        if ocols and n:
-            ov = df[ocols].to_numpy()
-            new_peer = np.ones(n, bool)
-            if n > 1:
-                new_peer[1:] = (ov[1:] != ov[:-1]).any(axis=1)
+        if ocols:
+            # peers share every ORDER BY value (NULLs are peers, as in SQL)
+            oc = key_codes(t, ocols)
+            new_peer = np.zeros(n, bool)
+            new_peer[1:] = oc[1:] != oc[:-1]
             new_peer[starts] = True
             ctx["new_peer"] = new_peer
             ctx["peer_start"] = np.maximum.accumulate(
                 np.where(new_peer, np.arange(n), 0))
-            is_last = np.concatenate([new_peer[1:], [True]])
+            is_last = np.append(new_peer[1:], True)[:n]
             pe = np.where(is_last, np.arange(n), n)
             ctx["peer_end"] = np.minimum.accumulate(pe[::-1])[::-1]
-            if len(ocols) == 1:
+            o1 = t[ocols[0]]
+            if len(ocols) == 1 and (pa.types.is_timestamp(o1.type)
+                                    or pa.types.is_integer(o1.type)
+                                    or pa.types.is_floating(o1.type)):
                 # numeric ORDER BY key for RANGE offset frames (DESC
                 # negates so ascending searchsorted logic applies)
-                ov1 = df[ocols[0]].to_numpy()
-                if np.issubdtype(ov1.dtype, np.datetime64):
-                    ov1 = ov1.astype("datetime64[us]").view(np.int64)
-                if ov1.dtype.kind in "iuf":
-                    ov1 = ov1.astype(np.float64)
-                    ctx["ov_num"] = -ov1 if order_spec[0][1] else ov1
-        elif ocols:
-            ctx["new_peer"] = np.array([], bool)
-            ctx["peer_start"] = ctx["peer_end"] = np.array([], np.int64)
+                if pa.types.is_timestamp(o1.type):
+                    o1 = pc.cast(pc.cast(o1, pa.timestamp("us")), pa.int64())
+                ov1 = _f64(o1)
+                ctx["ov_num"] = -ov1 if order_spec[0][1] else ov1
         for nm, fnode, frame in jobs:
-            df[nm] = _eval_window_fn(fnode, df, ctx, frame)
-        return _pd2pa(df, preserve_index=False)
+            col = _eval_window_fn(fnode, t, ctx, frame)
+            if isinstance(col, np.ndarray):
+                col = pa.array(col, from_pandas=True)  # NaN reads as NULL
+            t = (t.set_column(t.column_names.index(nm), nm, col)
+                 if nm in t.column_names else t.append_column(nm, col))
+        return t
 
     if is_global:
         ds = ds.map_batches(
@@ -5616,18 +5645,15 @@ def _attach_quantiles(out, ds, q: Select, qt_specs):
         if is_list and q.group_by:
             # Acero hash join rejects nested payload columns — attach the
             # (small, grouped) list column via a broadcast dict lookup
-            qdf = qt.to_pandas()
             lookup = dict(zip(
-                (tuple(r) for r in
-                 qdf[list(q.group_by)].itertuples(index=False, name=None)),
-                qdf[name]))
+                zip(*(qt[k].to_pylist() for k in q.group_by)),
+                qt[name].to_pylist()))
             vtype = qt.schema.field(name).type
 
             def attach(t: pa.Table, lk=lookup, kl=list(q.group_by),
                        nm=name, ty=vtype) -> pa.Table:
                 kcols = [t[k].to_pylist() for k in kl]
-                vals = [lk.get(tuple(kv)) for kv in zip(*kcols)]
-                vals = [None if v is None else list(v) for v in vals]
+                vals = [lk.get(kv) for kv in zip(*kcols)]
                 return t.append_column(nm, pa.array(vals, ty))
 
             out = out.map_batches(attach, batch_format="pyarrow",

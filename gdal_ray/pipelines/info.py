@@ -103,7 +103,7 @@ def raster_info(tiles_ds, *, dtype=np.uint32, nodata=None,
     parts = to_arrow(tiles_ds.map_batches(part, batch_format="pyarrow",
                                           batch_size=None))
     stats = to_arrow(band_statistics(tiles_ds, dtype=dtype, nodata=nodata,
-                                     approx_ok=approx_ok)).to_pandas()
+                                     approx_ok=approx_ok)).to_pandas()  # driver-side report
     return {
         "tile_count": int(parts["n"].to_numpy().sum()),
         "zoom_levels": (int(parts["zmin"].to_numpy().min()),
@@ -152,7 +152,7 @@ def text_corpus_report(ds, *, id_col: str = "doc_id",
     if lang_col:
         lct = to_arrow(groupby_agg(ds, [lang_col],
                                    [("n", "count_star", None)]))
-        lc = lct.to_pandas().sort_values(["n", lang_col],
+        lc = lct.to_pandas().sort_values(["n", lang_col],  # driver-side report
                                          ascending=[False, True]).iloc[0]
         row["n_langs"] = int(lct.num_rows)
         row["top_lang"] = str(lc[lang_col])
@@ -230,7 +230,7 @@ def table_profile(ds, *, ndigits: int = 6):
     nd = to_arrow(groupby_agg(distinct(vals, ["column", "v"]), ["column"],
                               [("n_distinct", "count_star", None)]))
 
-    md = mom.to_pandas().set_index("column")
+    md = mom.to_pandas().set_index("column")  # driver-side report
     dd = nd.to_pandas().set_index("column")["n_distinct"]
     rnd = lambda v: None if v is None else float(np.copysign(
         np.floor(abs(v) * 10.0**ndigits + 0.5) / 10.0**ndigits, v))

@@ -18,7 +18,6 @@ from __future__ import annotations
 import numpy as np
 import pyarrow as pa
 
-from gdal_ray.util import pd_to_arrow as _pd2pa
 import pyarrow.compute as pc
 
 from gdal_ray.ops import relational as R
@@ -456,8 +455,6 @@ WHERE p_partkey NOT IN (SELECT s_suppkey FROM supplier)
 def q17_zonal_mode(sf_dir):
     """Zonal minority/majority/variety (alg/zonal.cpp:661-701 stat set) on
     the diamond-cell zones over event_type."""
-    import pandas as pd
-
     ds = events_points(sf_dir, columns=("event_id", "event_type"))
 
     def zone(t: pa.Table) -> pa.Table:
@@ -469,20 +466,14 @@ def q17_zonal_mode(sf_dir):
 
     zoned = ds.map_batches(zone, batch_format="pyarrow", batch_size=None)
 
-    # three-level, no driver funnel: per-batch (zone, type) partial counts
-    # -> distributed combiner tree merge (groupby_agg) -> hash-partition by
-    # zone and compute all per-zone mode stats VECTORIZED (sorted
-    # drop-duplicates = per-zone argmax/argmin, no Python loop over zones)
+    # no driver funnel: (zone, type) counts through the combiner tree
+    # merge (groupby_agg) -> hash-partition by zone and compute all
+    # per-zone mode stats VECTORIZED (sorted drop-duplicates = per-zone
+    # argmax/argmin, no Python loop over zones)
     from gdal_ray.ops.relational import groupby_agg, hash_partition_reduce
 
-    def part(t: pa.Table) -> pa.Table:
-        df = t.select(["admin_id", "event_type"]).to_pandas()
-        g = df.groupby(["admin_id", "event_type"], sort=False).size().reset_index(name="n")
-        return _pd2pa(g, preserve_index=False)
-
-    partials = zoned.map_batches(part, batch_format="pyarrow", batch_size=None)
-    counts = groupby_agg(partials, ["admin_id", "event_type"],
-                         [("n", "sum", "n")])
+    counts = groupby_agg(zoned, ["admin_id", "event_type"],
+                         [("n", "count_star", None)])
 
     def finish(t: pa.Table) -> pa.Table:
         maj = t.sort_by([("admin_id", "ascending"), ("n", "descending"),
@@ -1456,8 +1447,6 @@ def q50_rasterize_tiles(sf_dir):
 def q51_polygonize(sf_dir):
     """Distributed polygonize of a deterministic tiled label raster derived
     from event points (density quantized to 3 classes) — rows-only."""
-    import pandas as pd
-
     from gdal_ray.stages.raster import polygonize_tiles
 
     # deterministic small raster: 32x32 grid of point-count classes.
@@ -1465,18 +1454,16 @@ def q51_polygonize(sf_dir):
     # -> groupby merge); only the <=1024 (gx, gy, n) rows reach the driver.
     ds = events_points(sf_dir)
 
-    def partial_counts(t: pa.Table) -> pa.Table:
+    def grid_cell(t: pa.Table) -> pa.Table:
         lon = t["lon"].to_numpy(zero_copy_only=False)
         lat = t["lat"].to_numpy(zero_copy_only=False)
         gx = np.clip(((lon + 180.0) / 360.0 * 32).astype(np.int64), 0, 31)
         gy = np.clip(((90.0 - lat) / 180.0 * 32).astype(np.int64), 0, 31)
-        df = pd.DataFrame({"gx": gx, "gy": gy})
-        g = df.groupby(["gy", "gx"], sort=False).size().reset_index(name="n")
-        return _pd2pa(g, preserve_index=False)
+        return pa.table({"gx": gx, "gy": gy})
 
     cells = R.groupby_agg(
-        ds.map_batches(partial_counts, batch_format="pyarrow", batch_size=None),
-        ["gy", "gx"], [("n", "sum", "n")],
+        ds.map_batches(grid_cell, batch_format="pyarrow", batch_size=None),
+        ["gy", "gx"], [("n", "count_star", None)],
     )
     cell_t = pa.concat_tables(cells.iter_batches(batch_size=None, batch_format="pyarrow"))
     counts = np.zeros((32, 32), dtype=np.int64)

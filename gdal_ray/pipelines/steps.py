@@ -646,12 +646,10 @@ def _dissolve(by: str | None = None):
     """Group by attribute (or all) and union geometries — `gdal vector
     dissolve` (apps/gdalalg_vector_dissolve.cpp:120). Union via iterative
     pairwise polygon_boolean; collections for mixed types."""
-    import pandas as pd
-
     from gdal_ray.vector.algebra import _group_rings, _mk_poly_geom, polygon_boolean
 
-    def union_group(g: pd.DataFrame) -> pd.DataFrame:
-        geoms = [W.parse_wkb(b) for b in g["geometry"]]
+    def union_group(g: pa.Table) -> pa.Table:
+        geoms = [W.parse_wkb(b) for b in g["geometry"].to_pylist()]
         polys = [p for gm in geoms for p in ([gm] if gm[0] == "polygon" else gm[1] if gm[0] == "multipolygon" else [])]
         if len(polys) != len(geoms):
             merged = GF.collect(geoms)  # non-polygon mix: collect
@@ -669,19 +667,19 @@ def _dissolve(by: str | None = None):
                 if not merged_any:
                     acc.append(rings)
             merged = _mk_poly_geom(acc)
-        out = g.head(1).copy()
-        out["geometry"] = [W.geom_to_wkb(merged)]
-        return out
+        i = g.column_names.index("geometry")
+        return g.slice(0, 1).set_column(
+            i, "geometry", pa.array([W.geom_to_wkb(merged)], g["geometry"].type))
 
     def run(ds):
-        if by is None:
-            def addk(t: pa.Table) -> pa.Table:
-                return t.append_column("__d", pa.array(np.zeros(len(t), np.int8)))
+        def addk(t: pa.Table) -> pa.Table:
+            # no schema metadata into the groupby shuffle (see
+            # ops.relational.hash_partition_reduce)
+            t = t.replace_schema_metadata(None)
+            return t if by else t.append_column("__d", pa.array(np.zeros(len(t), np.int8)))
 
-            return ds.map_batches(addk, batch_format="pyarrow", batch_size=None).groupby("__d").map_groups(
-                union_group, batch_format="pandas"
-            )
-        return ds.groupby(by).map_groups(union_group, batch_format="pandas")
+        return ds.map_batches(addk, batch_format="pyarrow", batch_size=None).groupby(
+            by or "__d").map_groups(union_group, batch_format="pyarrow")
 
     return run
 

@@ -15,7 +15,6 @@ strips only (never whole tiles duplicated 9x).
 from __future__ import annotations
 
 import numpy as np
-import pandas as pd
 import pyarrow as pa
 
 from gdal_ray.raster.checksum import checksum as _checksum
@@ -59,8 +58,6 @@ def tile_calc_expr(named_tiles: dict, expr: str, *, dtype=np.uint32,
     `fill` (gdal_calc's behavior for out-of-extent inputs with
     --NoDataValue handling simplified). Single-input expressions are the
     streaming tile_calc fast path."""
-    import pandas as pd
-
     from gdal_ray.ops.sql import Parser, eval_expr, tokenize
 
     out_dtype = out_dtype or dtype
@@ -93,25 +90,25 @@ def tile_calc_expr(named_tiles: dict, expr: str, *, dtype=np.uint32,
     for n in names[1:]:
         u = u.union(tag(named_tiles[n], n))
 
-    def compose(g: pd.DataFrame) -> pd.DataFrame:
+    def compose(g: pa.Table) -> pa.Table:
         arrs = {}
         shape = None
-        for _, r in g.iterrows():
-            a = np.frombuffer(r["data"], dtype=dtype).astype(np.float64)
-            arrs[r["band"]] = a
+        for band, d in zip(g["band"].to_pylist(), g["data"].to_pylist()):
+            a = np.frombuffer(d, dtype=dtype).astype(np.float64)
+            arrs[band] = a
             shape = a.shape
         cols = {n: pa.array(arrs.get(n, np.full(shape, fill))) for n in names}
         v = eval_expr(node, pa.table(cols))
         out = (np.full(shape, v.as_py(), np.float64) if isinstance(v, pa.Scalar)
                else np.asarray(v)).astype(out_dtype)
-        return pd.DataFrame({
-            "tile_x": [int(g["tile_x"].iloc[0])],
-            "tile_y": [int(g["tile_y"].iloc[0])],
+        return pa.table({
+            "tile_x": [g["tile_x"][0].as_py()],
+            "tile_y": [g["tile_y"][0].as_py()],
             "data": [out.tobytes()],
             "checksum": [_checksum(out.reshape(int(np.sqrt(out.size)), -1))],
         })
 
-    return u.groupby(["tile_x", "tile_y"]).map_groups(compose, batch_format="pandas")
+    return u.groupby(["tile_x", "tile_y"]).map_groups(compose, batch_format="pyarrow")
 
 
 def tile_reclassify(tiles_ds, mapping: list[tuple[float, float, float]], *,
@@ -174,15 +171,19 @@ def halo_apply(tiles_ds, kernel, *, radius: int = 1, dtype=np.uint32,
 
     fanned = tiles_ds.map_batches(fan, batch_format="pyarrow", batch_size=None)
 
-    def assemble(g: pd.DataFrame) -> pd.DataFrame:
-        sel = g[g["role"] == "self"]
-        if len(sel) == 0:
-            return pd.DataFrame()  # halo for a tile that doesn't exist
-        tx, ty = int(sel["t_x"].iloc[0]), int(sel["t_y"].iloc[0])
+    def assemble(g: pa.Table) -> pa.Table:
+        roles, datas = g["role"].to_pylist(), g["data"].to_pylist()
+        if "self" not in roles:  # halo for a tile that doesn't exist
+            return pa.table({"tile_x": pa.array([], pa.int64()),
+                             "tile_y": pa.array([], pa.int64()),
+                             "data": pa.array([], pa.binary()),
+                             "checksum": pa.array([], pa.int64())})
+        i = roles.index("self")
+        tx, ty = g["t_x"][i].as_py(), g["t_y"][i].as_py()
         n = TILE + 2 * radius
         pad = np.zeros((n, n), dtype=np.float64)
         have = np.zeros((n, n), dtype=bool)
-        pad[radius:-radius, radius:-radius] = _tile_arr(sel["data"].iloc[0], dtype)
+        pad[radius:-radius, radius:-radius] = _tile_arr(datas[i], dtype)
         have[radius:-radius, radius:-radius] = True
         regions = {
             (-1, 0): (slice(radius, -radius), slice(0, radius), (TILE, radius)),
@@ -194,10 +195,12 @@ def halo_apply(tiles_ds, kernel, *, radius: int = 1, dtype=np.uint32,
             (-1, 1): (slice(-radius, None), slice(0, radius), (radius, radius)),
             (1, 1): (slice(-radius, None), slice(-radius, None), (radius, radius)),
         }
-        for _, row in g[g["role"] != "self"].iterrows():
-            dx, dy = (int(v) for v in row["role"].split("_")[1:])
+        for role, data in zip(roles, datas):
+            if role == "self":
+                continue
+            dx, dy = (int(v) for v in role.split("_")[1:])
             rs, cs, shape = regions[(dx, dy)]
-            pad[rs, cs] = np.frombuffer(row["data"], dtype=dtype).reshape(shape)
+            pad[rs, cs] = np.frombuffer(data, dtype=dtype).reshape(shape)
             have[rs, cs] = True
         if not have.all():
             # raster-boundary sides: edge replication matching a whole-array
@@ -213,12 +216,12 @@ def halo_apply(tiles_ds, kernel, *, radius: int = 1, dtype=np.uint32,
             src_j = np.where(vert, jj, np.where(horiz, cj, cj))
             pad[ii, jj] = pad[src_i, src_j]
         out = (kernel(pad, have) if kernel_wants_mask else kernel(pad)).astype(out_dtype)
-        return pd.DataFrame(
+        return pa.table(
             {"tile_x": [tx], "tile_y": [ty], "data": [out.tobytes()],
              "checksum": [_checksum(out)]}
         )
 
-    return fanned.groupby(["t_x", "t_y"]).map_groups(assemble, batch_format="pandas")
+    return fanned.groupby(["t_x", "t_y"]).map_groups(assemble, batch_format="pyarrow")
 
 
 def focal_stats(tiles_ds, *, stat: str = "mean", radius: int = 1,

@@ -11,10 +11,9 @@ neighbours, alg/gdalgrid.cpp:257-377) re-expressed as a bucketed shuffle.
 from __future__ import annotations
 
 import numpy as np
-import pandas as pd
 import pyarrow as pa
 
-from gdal_ray.util import pd_to_arrow as _pd2pa
+from gdal_ray.ops.relational import head_k, tree_reduce
 
 
 def _matrix(t: pa.Table, col: str) -> np.ndarray:
@@ -70,19 +69,10 @@ def brute_force_topk(ds, queries: np.ndarray, query_ids: np.ndarray, k: int,
         )
 
     partials = ds.map_batches(partial, batch_format="pyarrow", batch_size=None)
-
-    def merge(df: pd.DataFrame) -> pd.DataFrame:
-        # vectorized head-k per query over partials (q*k rows per block)
-        df = df.sort_values(["query_id", "score", id_col],
-                            ascending=[True, False, True], kind="mergesort")
-        return df.groupby("query_id", sort=False).head(k).reset_index(drop=True)
-
-    # two-level tree merge (same ladder as pq_topk): never a single task
-    # holding q*k*num_blocks rows — at 10^6 blocks that is a funnel.
-    return (partials.repartition(16)
-            .map_batches(merge, batch_format="pandas", batch_size=None)
-            .repartition(1)
-            .map_batches(merge, batch_format="pandas", batch_size=None))
+    # two-level tree merge: never a single task holding q*k*num_blocks
+    # rows — at 10^6 blocks that is a funnel.
+    return tree_reduce(partials, head_k(
+        ["query_id"], [("score", "descending"), (id_col, "ascending")], k), 16)
 
 
 def kmeans_centroids(X: np.ndarray, nlist: int, *, iters: int = 8, seed: int = 7) -> np.ndarray:
@@ -157,17 +147,8 @@ def ivf_topk(ds, queries: np.ndarray, query_ids: np.ndarray, k: int,
         })
 
     partials = ds.map_batches(partial, batch_format="pyarrow", batch_size=None)
-
-    def merge(df: pd.DataFrame) -> pd.DataFrame:
-        df = df.sort_values(["query_id", "score", id_col],
-                            ascending=[True, False, True], kind="mergesort")
-        return df.groupby("query_id", sort=False).head(k).reset_index(drop=True)
-
-    # two-level tree merge (pq_topk's ladder) — no single-task funnel
-    return (partials.repartition(16)
-            .map_batches(merge, batch_format="pandas", batch_size=None)
-            .repartition(1)
-            .map_batches(merge, batch_format="pandas", batch_size=None))
+    return tree_reduce(partials, head_k(
+        ["query_id"], [("score", "descending"), (id_col, "ascending")], k), 16)
 
 
 class HyperplaneLSH:
@@ -185,7 +166,7 @@ class HyperplaneLSH:
         X = _matrix(t, self.vec_col)
         bits = (X @ self.planes.T) > 0
         bucket = (bits * self.weights).sum(axis=1).astype(np.int64)
-        return t.append_column("bucket", pa.array(bucket))
+        return t.replace_schema_metadata(None).append_column("bucket", pa.array(bucket))
 
 
 def lsh_topk(ds, queries: np.ndarray, query_ids: np.ndarray, k: int, dim: int,
@@ -211,24 +192,27 @@ def lsh_topk(ds, queries: np.ndarray, query_ids: np.ndarray, k: int, dim: int,
         batch_format="pyarrow",
         concurrency=2, batch_size=None,)
 
-    def scan(g: pd.DataFrame) -> pd.DataFrame:
-        table = _pd2pa(g, preserve_index=False)
-        bucket = int(g["bucket"].iloc[0])
-        qs = ray.get(bref).get(bucket, [])
-        if not qs:
-            return pd.DataFrame({"query_id": [], id_col: [], "score": []})
-        X = np.stack(g[vec_col].to_numpy()).astype(np.float64)
-        Xn = X / np.maximum(np.linalg.norm(X, axis=1, keepdims=True), 1e-30)
-        ids = g[id_col].to_numpy()
-        frames = []
+    qid_type = pa.array(np.asarray(query_ids)[:0]).type
+
+    def scan(g: pa.Table) -> pa.Table:
+        qs = ray.get(bref).get(g["bucket"][0].as_py(), [])
+        ids = g[id_col].combine_chunks()
+        idn = ids.to_numpy(zero_copy_only=False)
+        Xn = _matrix(g, vec_col)
+        Xn = Xn / np.maximum(np.linalg.norm(Xn, axis=1, keepdims=True), 1e-30)
+        out_q, out_i, out_s = [np.empty(0, np.int64)], [np.empty(0, np.int64)], [np.empty(0)]
         for qi, qv in qs:
             s = Xn @ qv
-            order = np.lexsort((ids, -s))[: k + 1]
-            order = order[ids[order] != qi][:k]
-            frames.append(pd.DataFrame({"query_id": qi, id_col: ids[order], "score": s[order]}))
-        return pd.concat(frames, ignore_index=True)
+            order = np.lexsort((idn, -s))[: k + 1]
+            order = order[idn[order] != qi][:k]
+            out_q.append(np.full(order.size, qi))
+            out_i.append(order)
+            out_s.append(s[order])
+        return pa.table({"query_id": pa.array(np.concatenate(out_q), qid_type),
+                         id_col: ids.take(np.concatenate(out_i)),
+                         "score": pa.array(np.concatenate(out_s))})
 
-    return hashed.groupby("bucket").map_groups(scan, batch_format="pandas")
+    return hashed.groupby("bucket").map_groups(scan, batch_format="pyarrow")
 
 
 # ---------------------------------------------------------------------------
@@ -289,7 +273,6 @@ def pq_topk(ds, queries: np.ndarray, query_ids: np.ndarray, k: int,
     table-lookup sums (np.take + sum over m — no per-query matmul).
     Same two-level tree merge as brute_force_topk. Returns
     (query_id, vec_id, dist) rows, smallest distance first."""
-    import pandas as pd
     import ray
 
     sample = pa.concat_tables(
@@ -324,12 +307,6 @@ def pq_topk(ds, queries: np.ndarray, query_ids: np.ndarray, k: int,
         })
 
     partials = ds.map_batches(partial, batch_format="pyarrow", batch_size=None)
-
-    def reduce_k(df: pd.DataFrame) -> pd.DataFrame:
-        df = df.sort_values(["query_id", "dist", "vec_id"], kind="mergesort")
-        return df.groupby("query_id", sort=False).head(k).reset_index(drop=True)
-
-    return (partials.repartition(tree_width)
-            .map_batches(reduce_k, batch_format="pandas", batch_size=None)
-            .repartition(1)
-            .map_batches(reduce_k, batch_format="pandas", batch_size=None))
+    return tree_reduce(partials, head_k(
+        ["query_id"], [("dist", "ascending"), ("vec_id", "ascending")], k),
+        tree_width)

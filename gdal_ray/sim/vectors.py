@@ -20,8 +20,7 @@ from gdal_ray.sim.knn import _matrix as _list_matrix
 
 def _matrix(t: pa.Table, col: str) -> np.ndarray:
     """(n, d) float64 from a list<float> column OR Ray's tensor extension
-    type (a pandas round-trip, e.g. through topk, converts list columns to
-    ArrowTensorArray)."""
+    type (ArrowTensorArray, e.g. from ray.data.from_numpy)."""
     arr = t[col]
     if isinstance(arr, pa.ChunkedArray):
         arr = arr.combine_chunks()
@@ -223,24 +222,19 @@ def semdedup(ds, *, k: int = 16, threshold: float = 0.95, iters: int = 5,
         m = _matrix(t, vec_col)
         d2 = (m * m).sum(axis=1)[:, None] - 2.0 * (m @ c.T) \
             + (c * c).sum(axis=1)[None, :]
-        return t.append_column(
+        return t.replace_schema_metadata(None).append_column(
             "cluster", pa.array(np.argmin(d2, axis=1).astype(np.int64)))
 
     labeled = ds.map_batches(label, batch_format="pyarrow",
                              batch_size=None)
 
-    def dedup_cluster(df):
-        import pandas as pd
-
-        ids = df[id_col].to_numpy()
-        order = np.argsort(ids, kind="stable")
-        ids = ids[order]
-        m = np.stack([np.asarray(v, np.float64)
-                      for v in df[vec_col].to_numpy()[order]])
+    def dedup_cluster(t: pa.Table) -> pa.Table:
+        t = t.take(pc.sort_indices(t, sort_keys=[(id_col, "ascending")]))
+        m = _matrix(t, vec_col)
         mn = m / np.maximum(np.linalg.norm(m, axis=1, keepdims=True),
                             1e-300)
         sim = mn @ mn.T
-        n = len(ids)
+        n = len(t)
         parent = np.arange(n)
 
         def find(i):
@@ -256,12 +250,11 @@ def semdedup(ds, *, k: int = 16, threshold: float = 0.95, iters: int = 5,
                 parent[max(ra, rb)] = min(ra, rb)
         roots = np.array([find(i) for i in range(n)])
         keep = roots == np.arange(n)  # min-id row of each component
-        return pd.DataFrame({id_col: ids,
-                             "cluster": df["cluster"].to_numpy()[order],
-                             "keep": keep})
+        return pa.table({id_col: t[id_col], "cluster": t["cluster"],
+                         "keep": pa.array(keep)})
 
     return labeled.groupby("cluster").map_groups(
-        dedup_cluster, batch_format="pandas")
+        dedup_cluster, batch_format="pyarrow")
 
 
 def matryoshka_truncate(ds, dims: int, *, vec_col: str = "embedding",

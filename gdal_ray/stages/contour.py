@@ -23,7 +23,6 @@ from __future__ import annotations
 import json
 
 import numpy as np
-import pandas as pd
 import pyarrow as pa
 
 from gdal_ray.ops.relational import hash_partition_reduce
@@ -63,19 +62,24 @@ def contour_tiles_ds(tiles_ds, levels, *, dtype=np.float32):
 
     fanned = tiles_ds.map_batches(fan, batch_format="pyarrow", batch_size=None)
 
-    def lines_per_tile(g: pd.DataFrame) -> pd.DataFrame:
-        sel = g[g["role"] == "self"]
-        if len(sel) == 0:
-            return pd.DataFrame({c: [] for c in
-                                 ("uid", "level_i", "pts", "k0", "k1")})
-        tx, ty = int(sel["t_x"].iloc[0]), int(sel["t_y"].iloc[0])
+    def lines_per_tile(g: pa.Table) -> pa.Table:
+        out = {"uid": [], "level_i": [], "pts": [], "k0": [], "k1": []}
+        types = {"level_i": pa.int64()}
+        roles, datas = g["role"].to_pylist(), g["data"].to_pylist()
+        if "self" not in roles:
+            return pa.table({c: pa.array(v, types.get(c, pa.string()))
+                             for c, v in out.items()})
+        i = roles.index("self")
+        tx, ty = g["t_x"][i].as_py(), g["t_y"][i].as_py()
         pad = np.zeros((TILE + 1, TILE + 1), np.float64)
         have = np.zeros((TILE + 1, TILE + 1), bool)
-        pad[:TILE, :TILE] = np.frombuffer(sel["data"].iloc[0], dtype=dtype).reshape(TILE, TILE)
+        pad[:TILE, :TILE] = np.frombuffer(datas[i], dtype=dtype).reshape(TILE, TILE)
         have[:TILE, :TILE] = True
-        for _, row in g[g["role"] != "self"].iterrows():
-            dx, dy = (int(v) for v in row["role"].split("_")[1:])
-            strip = np.frombuffer(row["data"], dtype=dtype)
+        for role, data in zip(roles, datas):
+            if role == "self":
+                continue
+            dx, dy = (int(v) for v in role.split("_")[1:])
+            strip = np.frombuffer(data, dtype=dtype)
             if (dx, dy) == (1, 0):
                 pad[:TILE, TILE] = strip; have[:TILE, TILE] = True
             elif (dx, dy) == (0, 1):
@@ -83,7 +87,6 @@ def contour_tiles_ds(tiles_ds, levels, *, dtype=np.float32):
             else:
                 pad[TILE, TILE] = strip[0]; have[TILE, TILE] = True
         ox, oy = tx * TILE, ty * TILE
-        out = {"uid": [], "level_i": [], "pts": [], "k0": [], "k1": []}
 
         def seam_key(p, li):
             # only endpoints ON a tile seam can continue into another tile;
@@ -103,10 +106,11 @@ def contour_tiles_ds(tiles_ds, levels, *, dtype=np.float32):
                 out["pts"].append(json.dumps(line.tolist()))
                 out["k0"].append(seam_key(line[0], li))
                 out["k1"].append(seam_key(line[-1], li))
-        return pd.DataFrame(out)
+        return pa.table({c: pa.array(v, types.get(c, pa.string()))
+                         for c, v in out.items()})
 
     lines = fanned.groupby(["t_x", "t_y"]).map_groups(
-        lines_per_tile, batch_format="pandas"
+        lines_per_tile, batch_format="pyarrow"
     ).materialize()
 
     # --- cross-tile merge, polygonize-shaped: ONLY seam-endpoint keys
@@ -119,22 +123,22 @@ def contour_tiles_ds(tiles_ds, levels, *, dtype=np.float32):
                 if k:
                     uids.append(uid)
                     keys.append(k)
-        return pa.table({"key": pa.array(keys), "uid": pa.array(uids)})
+        return pa.table({"key": pa.array(keys, pa.string()),
+                         "uid": pa.array(uids, pa.string())})
 
-    def pair_group(g: pd.DataFrame) -> pd.DataFrame:
-        u = sorted(set(g["uid"]))
-        if len(u) < 2:
-            return pd.DataFrame({"a": [], "b": []})
-        return pd.DataFrame({"a": u[:-1], "b": u[1:]})
+    def pair_group(g: pa.Table) -> pa.Table:
+        u = sorted(set(g["uid"].to_pylist()))
+        return pa.table({"a": pa.array(u[:-1], pa.string()),
+                         "b": pa.array(u[1:], pa.string())})
 
     pair_batches = list(
         lines.map_batches(endpoints, batch_format="pyarrow", batch_size=None)
-        .groupby("key").map_groups(pair_group, batch_format="pandas")
-        .iter_batches(batch_size=None, batch_format="pandas")
+        .groupby("key").map_groups(pair_group, batch_format="pyarrow")
+        .iter_batches(batch_size=None, batch_format="pyarrow")
     )
     uf = UnionFind()
     for b in pair_batches:
-        for a, bb in zip(b["a"], b["b"]):
+        for a, bb in zip(b["a"].to_pylist(), b["b"].to_pylist()):
             uf.union(a, bb)
     root_map = {x: str(uf.find(x)) for x in list(uf.parent)}
     map_ref = ray.put(root_map)

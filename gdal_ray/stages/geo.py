@@ -131,8 +131,10 @@ def knn_points(ds, queries: pa.Table, k: int, *, id_col="id", lon_col="lon",
     dataset streams through; each batch yields a partial top-k per query and
     a final per-query merge reduces them. Only q*k rows leave each block.
     Returns (query_id, neighbor_id, dist, rank)."""
-    import pandas as pd
     import ray
+
+    from gdal_ray.ops.relational import (head_k, segment_positions, sort_segments,
+                                         tree_reduce)
 
     qx = np.asarray(queries[lon_col].to_numpy(zero_copy_only=False), dtype=np.float64)
     qy = np.asarray(queries[lat_col].to_numpy(zero_copy_only=False), dtype=np.float64)
@@ -163,26 +165,17 @@ def knn_points(ds, queries: pa.Table, k: int, *, id_col="id", lon_col="lon",
         )
 
     partials = ds.map_batches(partial, batch_format="pyarrow", batch_size=None)
+    order = [("dist", "ascending"), ("neighbor_id", "ascending")]
 
-    def reduce_k(df: pd.DataFrame) -> pd.DataFrame:
-        df = df.sort_values(["query_id", "dist", "neighbor_id"], kind="mergesort")
-        return df.groupby("query_id", sort=False).head(k).reset_index(drop=True)
+    def rank(t: pa.Table) -> pa.Table:
+        t, starts = sort_segments(t, ["query_id"], order)
+        return t.append_column("rank", pa.array(segment_positions(starts, len(t)) + 1))
 
-    def finalize(df: pd.DataFrame) -> pd.DataFrame:
-        df = reduce_k(df)
-        df["rank"] = df.groupby("query_id", sort=False).cumcount() + 1
-        return df
-
-    # two-level tree merge (the topk pattern): tree_width intermediate
-    # per-query head-k tasks, then one final over <= tree_width*q*k rows —
-    # bounded regardless of input block count (no num_blocks funnel)
-    tree_width = 16
-    reduced = (
-        partials.repartition(tree_width)
-        .map_batches(reduce_k, batch_format="pandas", batch_size=None)
-        .repartition(1)
-    )
-    return reduced.map_batches(finalize, batch_format="pandas", batch_size=None)
+    # two-level tree merge (the topk pattern): 16 intermediate per-query
+    # head-k tasks, then one final over <= 16*q*k rows — bounded
+    # regardless of input block count (no num_blocks funnel)
+    return tree_reduce(partials, head_k(["query_id"], order, k), 16) \
+        .map_batches(rank, batch_format="pyarrow", batch_size=None)
 
 
 def knn_all_points_cell_partitioned(ds, k: int, *, cell_size: float,
@@ -206,8 +199,6 @@ def knn_all_points_cell_partitioned(ds, k: int, *, cell_size: float,
     regardless of how skewed a hot cell is (a 10^6-point urban cell never
     allocates a 10^12-entry matrix).
     """
-    import pandas as pd
-
     if fringe > cell_size:
         raise ValueError(
             f"fringe ({fringe}) must be <= cell_size ({cell_size}): neighbors beyond "
@@ -245,18 +236,19 @@ def knn_all_points_cell_partitioned(ds, k: int, *, cell_size: float,
 
     fanned = ds.map_batches(fan, batch_format="pyarrow", batch_size=None)
 
-    def solve(g: pd.DataFrame) -> pd.DataFrame:
+    def solve(g: pa.Table) -> pa.Table:
         x = g["x"].to_numpy()
         y = g["y"].to_numpy()
-        ids = g["id"].to_numpy()
+        id_arr = g["id"].combine_chunks()
+        ids = id_arr.to_numpy(zero_copy_only=False)
         core = g["core"].to_numpy()
         qi = np.nonzero(core)[0]
-        kk = min(k, x.size - 1)
-        if qi.size == 0 or kk <= 0:  # empty cell or a lone point
-            return pd.DataFrame(
-                {"query_id": [], "neighbor_id": [], "dist": [], "rank": [], "exact": []}
-            )
-        parts = []
+        kk = max(min(k, x.size - 1), 0)
+        if kk == 0:  # a lone point has no neighbour
+            qi = qi[:0]
+        q_at, n_at, dists, ranks, exacts = ([np.empty(0, np.int64)], [np.empty(0, np.int64)],
+                                            [np.empty(0)], [np.empty(0, np.int64)],
+                                            [np.empty(0, bool)])
         for c0 in range(0, qi.size, chunk):
             qc = qi[c0 : c0 + chunk]
             d2 = (x[qc, None] - x[None, :]) ** 2 + (y[qc, None] - y[None, :]) ** 2
@@ -266,16 +258,18 @@ def knn_all_points_cell_partitioned(ds, k: int, *, cell_size: float,
             # sound certificate only when the k-th neighbor is inside the
             # fringe AND the group actually exposed k candidates
             exact = (dist[:, -1] <= fringe) & (kk >= k)
-            parts.append(pd.DataFrame(
-                {"query_id": np.repeat(ids[qc], kk),
-                 "neighbor_id": ids[order].ravel(),
-                 "dist": dist.ravel(),
-                 "rank": np.tile(np.arange(1, kk + 1), qc.size),
-                 "exact": np.repeat(exact, kk)}
-            ))
-        return pd.concat(parts, ignore_index=True)
+            q_at.append(np.repeat(qc, kk))
+            n_at.append(order.ravel())
+            dists.append(dist.ravel())
+            ranks.append(np.tile(np.arange(1, kk + 1), qc.size))
+            exacts.append(np.repeat(exact, kk))
+        return pa.table({"query_id": id_arr.take(np.concatenate(q_at)),
+                         "neighbor_id": id_arr.take(np.concatenate(n_at)),
+                         "dist": pa.array(np.concatenate(dists)),
+                         "rank": pa.array(np.concatenate(ranks)),
+                         "exact": pa.array(np.concatenate(exacts))})
 
-    return fanned.groupby(["cx", "cy"]).map_groups(solve, batch_format="pandas")
+    return fanned.groupby(["cx", "cy"]).map_groups(solve, batch_format="pyarrow")
 
 
 class SpatialKNN:

@@ -13,12 +13,11 @@ no all-points broadcast, linear in points.
 from __future__ import annotations
 
 import numpy as np
-import pandas as pd
 import pyarrow as pa
+import pyarrow.compute as pc
 
-from gdal_ray.util import pd_to_arrow as _pd2pa
-
-from gdal_ray.ops.relational import first_by, groupby_agg
+from gdal_ray.ops.relational import (first_by, groupby_agg, hash_partition_reduce,
+                                     head_k, sort_segments)
 
 
 def _fan_to_cells(t: pa.Table, *, x0, y0, nx, ny, cell, radius, value_col):
@@ -99,66 +98,47 @@ def grid_points(ds, *, extent, cell: float, radius: float, method: str = "invdis
             block, batch_format="pyarrow", batch_size=None
         )
 
-    if method == "nearest":
-        def part(t: pa.Table) -> pa.Table:
-            gx, gy, pv, d2, _, _ = _fan_to_cells(t, x0=x0, y0=y0, nx=nx, ny=ny,
-                                                 cell=cell, radius=radius, value_col=value_col)
-            df = pd.DataFrame({"gx": gx, "gy": gy, "d2": d2, "value": pv})
-            idx = df.groupby(["gx", "gy"], sort=False)["d2"].idxmin()
-            return _pd2pa(df.loc[idx], preserve_index=False)
+    def fan(t: pa.Table) -> pa.Table:
+        gx, gy, pv, d2, _, _ = _fan_to_cells(t, x0=x0, y0=y0, nx=nx, ny=ny,
+                                             cell=cell, radius=radius, value_col=value_col)
+        return pa.table({"gx": gx, "gy": gy, "d2": d2, "value": pv})
 
-        partials = ds.map_batches(part, batch_format="pyarrow", batch_size=None)
-        out = first_by(partials, ["gx", "gy"], ["d2", "value"])
+    fanned = ds.map_batches(fan, batch_format="pyarrow", batch_size=None)
+
+    if method == "nearest":
+        out = first_by(fanned, ["gx", "gy"], ["d2", "value"])
         return out.map_batches(
             lambda t: t.select(["gx", "gy", "value"]), batch_format="pyarrow", batch_size=None
         )
 
     if method == "invdistnn":
-        def part_nn(t: pa.Table) -> pa.Table:
-            gx, gy, pv, d2, _, _ = _fan_to_cells(t, x0=x0, y0=y0, nx=nx, ny=ny,
-                                                 cell=cell, radius=radius, value_col=value_col)
-            df = pd.DataFrame({"gx": gx, "gy": gy, "d2": d2, "value": pv})
-            df = df.sort_values(["gx", "gy", "d2", "value"], kind="mergesort")
-            return _pd2pa(
-                df.groupby(["gx", "gy"], sort=False).head(max_points),
-                preserve_index=False,
-            )
+        nearest = head_k(["gx", "gy"], [("d2", "ascending"), ("value", "ascending")],
+                         max_points)
+        partials = fanned.map_batches(nearest, batch_format="pyarrow", batch_size=None)
 
-        partials = ds.map_batches(part_nn, batch_format="pyarrow", batch_size=None)
-
-        def fin_nn(g: pd.DataFrame) -> pd.DataFrame:
-            g = g.sort_values(["d2", "value"], kind="mergesort").head(max_points)
+        def fin_nn(g: pa.Table) -> pa.Table:
+            g = nearest(g)
             w = 1.0 / np.maximum(np.power(np.sqrt(g["d2"].to_numpy()), power), 1e-12)
-            return pd.DataFrame({
-                "gx": [int(g["gx"].iloc[0])], "gy": [int(g["gy"].iloc[0])],
+            return pa.table({
+                "gx": g["gx"][:1], "gy": g["gy"][:1],
                 "value": [float((w * g["value"].to_numpy()).sum() / w.sum())],
             })
 
-        return partials.groupby(["gx", "gy"]).map_groups(fin_nn, batch_format="pandas")
+        return partials.groupby(["gx", "gy"]).map_groups(fin_nn, batch_format="pyarrow")
 
     if method in ("minimum", "maximum", "range", "count", "average_distance"):
         # GDAL data-metrics family (GDALGridDataMetricMinimum/Maximum/
         # Range/Count/AverageDistance, alg/gdal_alg.h:402-416 +
         # alg/gdalgrid.cpp): all algebraic over the radius neighborhood,
         # so they reuse the point-side fan-out + partial-merge shape
-        def part_dm(t: pa.Table) -> pa.Table:
-            gx, gy, pv, d2, _, _ = _fan_to_cells(
-                t, x0=x0, y0=y0, nx=nx, ny=ny, cell=cell, radius=radius,
-                value_col=value_col)
-            df = pd.DataFrame({"gx": gx, "gy": gy, "v": pv, "d": np.sqrt(d2)})
-            g = df.groupby(["gx", "gy"], sort=False).agg(
-                mn=("v", "min"), mx=("v", "max"), n=("v", "size"),
-                sd=("d", "sum")).reset_index()
-            return _pd2pa(g, preserve_index=False)
-
-        partials = ds.map_batches(part_dm, batch_format="pyarrow", batch_size=None)
-        summed = groupby_agg(partials, ["gx", "gy"], [
-            ("mn", "min", "mn"), ("mx", "max", "mx"),
-            ("n", "sum", "n"), ("sd", "sum", "sd")])
+        dist = fanned.map_batches(
+            lambda t: t.append_column("d", pc.sqrt(t["d2"])),
+            batch_format="pyarrow", batch_size=None)
+        summed = groupby_agg(dist, ["gx", "gy"], [
+            ("mn", "min", "value"), ("mx", "max", "value"),
+            ("n", "count_star", None), ("sd", "sum", "d")])
 
         def fin_dm(t: pa.Table) -> pa.Table:
-            import pyarrow.compute as pc
-
             if method == "minimum":
                 v = pc.cast(t["mn"], pa.float64())
             elif method == "maximum":
@@ -180,8 +160,6 @@ def grid_points(ds, *, extent, cell: float, radius: float, method: str = "invdis
         # between the points inside each cell's radius — not algebraic, so
         # points co-locate per cell (hash partition + boundary scan; the
         # per-cell point count is bounded by density * radius^2)
-        from gdal_ray.ops.relational import hash_partition_reduce
-
         def fan_xy(t: pa.Table) -> pa.Table:
             gx, gy, _, _, px, py = _fan_to_cells(
                 t, x0=x0, y0=y0, nx=nx, ny=ny, cell=cell, radius=radius,
@@ -192,18 +170,9 @@ def grid_points(ds, *, extent, cell: float, radius: float, method: str = "invdis
         fanned = ds.map_batches(fan_xy, batch_format="pyarrow", batch_size=None)
 
         def pairwise_part(t: pa.Table) -> pa.Table:
-            if len(t) == 0:
-                return pa.table({"gx": pa.array([], pa.int64()),
-                                 "gy": pa.array([], pa.int64()),
-                                 "value": pa.array([], pa.float64())})
-            df = t.to_pandas().sort_values(["gx", "gy"], kind="mergesort",
-                                           ignore_index=True)
-            gxa = df["gx"].to_numpy()
-            gya = df["gy"].to_numpy()
-            pxa = df["px"].to_numpy()
-            pya = df["py"].to_numpy()
-            change = np.flatnonzero((gxa[1:] != gxa[:-1]) | (gya[1:] != gya[:-1])) + 1
-            bounds = np.concatenate([[0], change, [len(df)]])
+            t, starts = sort_segments(t, ["gx", "gy"])
+            gxa, gya, pxa, pya = (t[c].to_numpy() for c in ("gx", "gy", "px", "py"))
+            bounds = np.append(starts, len(t))
             out_gx, out_gy, out_v = [], [], []
             for s, e in zip(bounds[:-1], bounds[1:]):
                 if e - s < 2:
@@ -222,23 +191,19 @@ def grid_points(ds, *, extent, cell: float, radius: float, method: str = "invdis
 
         return hash_partition_reduce(fanned, ["gx", "gy"], pairwise_part)
 
-    def part(t: pa.Table) -> pa.Table:
-        gx, gy, pv, d2, _, _ = _fan_to_cells(t, x0=x0, y0=y0, nx=nx, ny=ny,
-                                             cell=cell, radius=radius, value_col=value_col)
+    def weigh(t: pa.Table) -> pa.Table:
+        d2 = t["d2"].to_numpy()
         if method == "invdist":
             w = 1.0 / np.maximum(np.power(np.sqrt(d2), power), 1e-12)
         else:  # average
             w = np.ones_like(d2)
-        df = pd.DataFrame({"gx": gx, "gy": gy, "wv": w * pv, "w": w})
-        g = df.groupby(["gx", "gy"], sort=False).sum().reset_index()
-        return _pd2pa(g, preserve_index=False)
+        return pa.table({"gx": t["gx"], "gy": t["gy"],
+                         "wv": w * t["value"].to_numpy(), "w": w})
 
-    partials = ds.map_batches(part, batch_format="pyarrow", batch_size=None)
+    partials = fanned.map_batches(weigh, batch_format="pyarrow", batch_size=None)
     summed = groupby_agg(partials, ["gx", "gy"], [("wv", "sum", "wv"), ("w", "sum", "w")])
 
     def fin(t: pa.Table) -> pa.Table:
-        import pyarrow.compute as pc
-
         return pa.table(
             {"gx": t["gx"], "gy": t["gy"],
              "value": pc.divide(t["wv"], t["w"])}

@@ -17,11 +17,10 @@ block IS one row).
 from __future__ import annotations
 
 import numpy as np
-import pandas as pd
 import pyarrow as pa
 
-from gdal_ray.ops.relational import hash_partition_reduce
-from gdal_ray.util import FNV_OFFSET, FNV_PRIME, default_num_parts, pd_to_arrow as _pd2pa
+from gdal_ray.ops.relational import arrow_group_by, hash_partition_reduce
+from gdal_ray.util import FNV_OFFSET, FNV_PRIME, default_num_parts
 import pyarrow.compute as pc
 
 from gdal_ray.geo import webmercator as wm
@@ -45,9 +44,9 @@ def points_to_tile_counts(ds, zoom: int, *, lon_col="lon", lat_col="lat"):
         gy = np.clip(py.astype(np.int64), 0, (1 << zoom) * TILE - 1)
         tx, ty = gx // TILE, gy // TILE
         pix = (gy % TILE) * TILE + (gx % TILE)
-        df = pd.DataFrame({"tile_x": tx, "tile_y": ty, "pix": pix})
-        g = df.groupby(["tile_x", "tile_y", "pix"], sort=False).size().reset_index(name="n")
-        return _pd2pa(g, preserve_index=False)
+        g = arrow_group_by(pa.table({"tile_x": tx, "tile_y": ty, "pix": pix}),
+                           ["tile_x", "tile_y", "pix"], [([], "count_all")])
+        return g.rename_columns([c.replace("count_all", "n") for c in g.column_names])
 
     partials = ds.map_batches(partial, batch_format="pyarrow", batch_size=None)
 
@@ -273,16 +272,16 @@ def burn_features_to_tiles(ds, zoom: int, *, wkb_col="geometry",
 
     fanned = ds.map_batches(fan_out, batch_format="pyarrow", batch_size=None)
 
-    def burn(g: pd.DataFrame) -> pd.DataFrame:
-        tx, ty = int(g["tile_x"].iloc[0]), int(g["tile_y"].iloc[0])
+    def burn(g: pa.Table) -> pa.Table:
+        tx, ty = g["tile_x"][0].as_py(), g["tile_y"][0].as_py()
         gt = tile_geotransform(tx, ty, zoom)
         # burn in float64 when salted so partial sums merge losslessly
         arr = _rasterize(
-            [bytes(b) for b in g["geometry"]],
-            TILE, TILE, gt, list(g["burn"]),
+            g["geometry"].to_pylist(),
+            TILE, TILE, gt, g["burn"].to_pylist(),
             dtype=np.float64 if salt else dtype, merge=merge,
         )
-        return pd.DataFrame(
+        return pa.table(
             {
                 "zoom": [zoom], "tile_x": [tx], "tile_y": [ty],
                 "data": [arr.tobytes()],
@@ -291,7 +290,7 @@ def burn_features_to_tiles(ds, zoom: int, *, wkb_col="geometry",
         )
 
     if salt is None:
-        return fanned.groupby(["tile_x", "tile_y"]).map_groups(burn, batch_format="pandas")
+        return fanned.groupby(["tile_x", "tile_y"]).map_groups(burn, batch_format="pyarrow")
 
     if merge != "add":
         raise ValueError("salted burn requires merge='add' (additive partials)")
@@ -308,26 +307,26 @@ def burn_features_to_tiles(ds, zoom: int, *, wkb_col="geometry",
 
     salted = fanned.map_batches(add_salt, batch_format="pyarrow", batch_size=None)
     partial_tiles = salted.groupby(["tile_x", "tile_y", "salt"]).map_groups(
-        burn, batch_format="pandas"
+        burn, batch_format="pyarrow"
     )
 
-    def merge_salted(g: pd.DataFrame) -> pd.DataFrame:
+    def merge_salted(g: pa.Table) -> pa.Table:
         acc = np.zeros(TILE * TILE, dtype=np.float64)
-        for buf in g["data"]:
+        for buf in g["data"].to_pylist():
             acc += np.frombuffer(buf, dtype=np.float64)
         arr = acc.reshape(TILE, TILE).astype(dtype)
-        return pd.DataFrame(
+        return pa.table(
             {
-                "zoom": [int(g["zoom"].iloc[0])],
-                "tile_x": [int(g["tile_x"].iloc[0])],
-                "tile_y": [int(g["tile_y"].iloc[0])],
+                "zoom": g["zoom"][:1],
+                "tile_x": g["tile_x"][:1],
+                "tile_y": g["tile_y"][:1],
                 "data": [arr.tobytes()],
                 "checksum": [_checksum(arr)],
             }
         )
 
     return partial_tiles.groupby(["tile_x", "tile_y"]).map_groups(
-        merge_salted, batch_format="pandas"
+        merge_salted, batch_format="pyarrow"
     )
 
 
@@ -603,6 +602,18 @@ def sample_tiles_at_points(tiles_ds, points_ds, zoom: int, *,
     if method not in methods:
         raise ValueError(f"method must be one of {methods}, got {method!r}")
     halo = 0 if method == "nearest" else _KERNEL_RADIUS[method]
+    # points and tiles meet in one groupby, so both sides carry one schema:
+    # the point columns, then the routing and tile columns
+    pt_schema = points_ds.schema()
+    union_schema = pa.schema(
+        list(zip(pt_schema.names, pt_schema.types))
+        + [("__px", pa.float64()), ("__py", pa.float64()), ("t_x", pa.int64()),
+           ("t_y", pa.int64()), ("__kind", pa.int8()), ("__role", pa.string()),
+           ("__tiledata", pa.binary())])
+
+    def _with_schema(cols: dict, n: int) -> pa.Table:
+        return pa.table({f.name: cols[f.name] if f.name in cols else pa.nulls(n, f.type)
+                         for f in union_schema}, schema=union_schema)
 
     def fan_points(t: pa.Table) -> pa.Table:
         lon = np.asarray(t[lon_col].to_numpy(zero_copy_only=False), dtype=np.float64)
@@ -615,8 +626,8 @@ def sample_tiles_at_points(tiles_ds, points_ds, zoom: int, *,
         t = t.append_column("t_x", pa.array(tx))
         t = t.append_column("t_y", pa.array(ty))
         t = t.append_column("__kind", pa.array(np.full(len(t), 0, np.int8)))
-        t = t.append_column("__role", pa.array(["pt"] * len(t)))
-        return t
+        t = t.append_column("__role", pa.array(["pt"] * len(t), pa.string()))
+        return _with_schema({c: t[c] for c in t.column_names}, len(t))
 
     def _sel(d: int):
         return {-1: slice(0, halo), 0: slice(None), 1: slice(TILE - halo, TILE)}[d]
@@ -669,20 +680,17 @@ def sample_tiles_at_points(tiles_ds, points_ds, zoom: int, *,
                         xs.append(tx + dx); ys.append(ty + dy)
                         roles.append(f"{-dx}_{-dy}")
                         datas.append(np.ascontiguousarray(strip).tobytes())
-        return pa.table(
+        return _with_schema(
             {
                 "t_x": pa.array(xs, pa.int64()),
                 "t_y": pa.array(ys, pa.int64()),
                 "__tiledata": pa.array(datas, pa.binary()),
                 "__kind": pa.array(np.full(len(xs), 1, np.int8)),
-                "__role": pa.array(roles),
-            }
-        )
+                "__role": pa.array(roles, pa.string()),
+            }, len(xs))
 
     tls = tiles_ds.map_batches(fan_tiles_filtered, batch_format="pyarrow",
                                batch_size=None)
-
-    import pandas as pd
 
     # pad-region slices for a strip whose SOURCE tile sits at offset
     # (sx, sy) from the receiver; N = TILE + 2*halo
@@ -692,47 +700,49 @@ def sample_tiles_at_points(tiles_ds, points_ds, zoom: int, *,
                     1: slice(halo + TILE, halo + TILE + halo)}[d]
         return ax(sy), ax(sx)
 
-    def sample(g: pd.DataFrame) -> pd.DataFrame:
-        tiles = g[(g["__kind"] == 1) & (g["__role"] == "self")]
-        points = g[g["__kind"] == 0]
-        if len(points) == 0:
-            return pd.DataFrame()
-        out = points.drop(columns=["__kind", "__role", "__tiledata"], errors="ignore").copy()
-        if len(tiles) == 0:
-            out["value"] = nodata
-            return out.drop(columns=["__px", "__py"])
-        arr = np.frombuffer(tiles["__tiledata"].iloc[0], dtype=dtype).reshape(TILE, TILE)
+    def sample(g: pa.Table) -> pa.Table:
+        kind = g["__kind"].to_numpy()
+        roles, datas = g["__role"].to_pylist(), g["__tiledata"].to_pylist()
+        points = g.filter(pa.array(kind == 0))
+        out = points.drop_columns(["t_x", "t_y", "__kind", "__role", "__tiledata",
+                                   "__px", "__py"])
+        tiles = [i for i, r in enumerate(roles) if kind[i] == 1 and r == "self"]
+        if len(points) == 0 or not tiles:
+            return out.append_column("value", pa.array(np.full(len(points), nodata, np.float64)))
+        arr = np.frombuffer(datas[tiles[0]], dtype=dtype).reshape(TILE, TILE)
+        px, py = points["__px"].to_numpy(), points["__py"].to_numpy()
         if method == "nearest":
-            ox = (points["__px"].to_numpy() % TILE).astype(np.int64)
-            oy = (points["__py"].to_numpy() % TILE).astype(np.int64)
-            out["value"] = arr[oy, ox].astype(np.float64)
-            return out.drop(columns=["__px", "__py"])
+            ox = (px % TILE).astype(np.int64)
+            oy = (py % TILE).astype(np.int64)
+            return out.append_column("value", pa.array(arr[oy, ox].astype(np.float64)))
         # kernel methods: padded array assembled from halo strips; cells
         # with no contributing tile keep have=False and zero weight
-        tx, ty = int(tiles["t_x"].iloc[0]), int(tiles["t_y"].iloc[0])
+        tx, ty = g["t_x"][tiles[0]].as_py(), g["t_y"][tiles[0]].as_py()
         N = TILE + 2 * halo
         pad = np.zeros((N, N), np.float64)
         have = np.zeros((N, N), bool)
         pad[halo:halo + TILE, halo:halo + TILE] = arr
         have[halo:halo + TILE, halo:halo + TILE] = True
-        for _, row in g[(g["__kind"] == 1) & (g["__role"] != "self")].iterrows():
-            sx, sy = (int(v) for v in row["__role"].split("_"))
+        for i, role in enumerate(roles):
+            if kind[i] != 1 or role == "self":
+                continue
+            sx, sy = (int(v) for v in role.split("_"))
             rs, cs = _region(sx, sy)
             h_rows = halo if sy else TILE
             h_cols = halo if sx else TILE
-            pad[rs, cs] = np.frombuffer(row["__tiledata"], dtype=dtype).reshape(h_rows, h_cols)
+            pad[rs, cs] = np.frombuffer(datas[i], dtype=dtype).reshape(h_rows, h_cols)
             have[rs, cs] = True
         # local fractional coords: pixel-center convention (value at
         # col + 0.5), pad offset +halo
-        fx = points["__px"].to_numpy() - tx * TILE - 0.5
-        fy = points["__py"].to_numpy() - ty * TILE - 0.5
+        fx = px - tx * TILE - 0.5
+        fy = py - ty * TILE - 0.5
         x0 = np.floor(fx).astype(np.int64)
         y0 = np.floor(fy).astype(np.int64)
         ax_ = fx - x0
         ay_ = fy - y0
         r = _KERNEL_RADIUS[method]
-        acc = np.zeros(len(points), np.float64)
-        wsum = np.zeros(len(points), np.float64)
+        acc = np.zeros(len(px), np.float64)
+        wsum = np.zeros(len(px), np.float64)
         for dy in range(-r + 1, r + 1):
             wy = _kern_weights(method, dy - ay_)
             ly = np.clip(y0 + dy + halo, 0, N - 1)
@@ -744,32 +754,19 @@ def sample_tiles_at_points(tiles_ds, points_ds, zoom: int, *,
                 ok = in_y & in_x & have[ly, lx] & (w != 0.0)
                 acc[ok] += w[ok] * pad[ly[ok], lx[ok]]
                 wsum[ok] += w[ok]
-        v = np.full(len(points), np.float64(nodata))
+        v = np.full(len(px), np.float64(nodata))
         hasw = np.abs(wsum) > 1e-9
         v[hasw] = acc[hasw] / wsum[hasw]
-        out["value"] = v
-        return out.drop(columns=["__px", "__py"])
+        return out.append_column("value", pa.array(v))
 
-    # the union pads point columns with nulls for tile rows, so the pandas
-    # group kernel promotes int64 point columns to float64 — cast them back
-    # to the input schema (driver value-hashes are dtype-sensitive: an
-    # event_id of 164.0 vs 164 is a hash mismatch even with equal values)
-    pt_schema = points_ds.schema()
-    pt_types = dict(zip(pt_schema.names, pt_schema.types))
+    return pts.union(tls).groupby(["t_x", "t_y"]).map_groups(sample, batch_format="pyarrow")
 
-    def _finish(t: pa.Table) -> pa.Table:
-        t = t.drop_columns([c for c in ("t_x", "t_y") if c in t.column_names])
-        cols = {}
-        for name in t.column_names:
-            col = t[name]
-            want = pt_types.get(name)
-            if want is not None and col.type != want:
-                col = pc.cast(col, want)
-            cols[name] = col
-        return pa.table(cols)
 
-    joined = pts.union(tls).groupby(["t_x", "t_y"]).map_groups(sample, batch_format="pandas")
-    return joined.map_batches(_finish, batch_format="pyarrow", batch_size=None)
+def _tile_arrays(g: pa.Table, dtype) -> dict:
+    """{(tile_x, tile_y): TILE x TILE array} of a tile table's rows."""
+    return {(x, y): np.frombuffer(d, dtype=dtype).reshape(TILE, TILE)
+            for x, y, d in zip(g["tile_x"].to_pylist(), g["tile_y"].to_pylist(),
+                               g["data"].to_pylist())}
 
 
 def _kern_weights(method: str, t: np.ndarray) -> np.ndarray:
@@ -916,12 +913,9 @@ def warp_tiles_to_platecarree(tiles_ds, zoom: int, *, out_cell_deg: float,
 
     fanned = tiles_ds.map_batches(fan, batch_format="pyarrow", batch_size=None)
 
-    def resample(g: pd.DataFrame) -> pd.DataFrame:
-        bx, by = int(g["b_x"].iloc[0]), int(g["b_y"].iloc[0])
-        src = {
-            (int(r["tile_x"]), int(r["tile_y"])): np.frombuffer(r["data"], dtype=dtype).reshape(TILE, TILE)
-            for _, r in g.iterrows()
-        }
+    def resample(g: pa.Table) -> pa.Table:
+        bx, by = g["b_x"][0].as_py(), g["b_y"][0].as_py()
+        src = _tile_arrays(g, dtype)
         # dst pixel centers -> lon/lat
         lons = -180.0 + (bx * out_block + np.arange(out_block) + 0.5) * out_cell_deg
         lats = 90.0 - (by * out_block + np.arange(out_block) + 0.5) * out_cell_deg
@@ -931,12 +925,12 @@ def warp_tiles_to_platecarree(tiles_ds, zoom: int, *, out_cell_deg: float,
         # lanczos | mode (gdalwarper.h:37-67)
         out = _sample_kernel(src, px, py, method, nodata)
         arr = out.reshape(out_block, out_block).astype(dtype)
-        return pd.DataFrame(
+        return pa.table(
             {"block_x": [bx], "block_y": [by], "data": [arr.tobytes()],
              "checksum": [_checksum(arr)]}
         )
 
-    return fanned.groupby(["b_x", "b_y"]).map_groups(resample, batch_format="pandas")
+    return fanned.groupby(["b_x", "b_y"]).map_groups(resample, batch_format="pyarrow")
 
 
 def warp_tiles_to_crs(tiles_ds, zoom: int, transformer, *, extent,
@@ -1001,13 +995,9 @@ def warp_tiles_to_crs(tiles_ds, zoom: int, transformer, *, extent,
 
     fanned = tiles_ds.map_batches(fan, batch_format="pyarrow", batch_size=None)
 
-    def resample(g: pd.DataFrame) -> pd.DataFrame:
-        bx, by = int(g["b_x"].iloc[0]), int(g["b_y"].iloc[0])
-        src = {
-            (int(r["tile_x"]), int(r["tile_y"])): np.frombuffer(
-                r["data"], dtype=dtype).reshape(TILE, TILE)
-            for _, r in g.iterrows()
-        }
+    def resample(g: pa.Table) -> pa.Table:
+        bx, by = g["b_x"][0].as_py(), g["b_y"][0].as_py()
+        src = _tile_arrays(g, dtype)
         xs = x0e + (bx * out_block + np.arange(out_block) + 0.5) * out_cell
         ys = y1e - (by * out_block + np.arange(out_block) + 0.5) * out_cell
         XX, YY = np.meshgrid(xs, ys)
@@ -1021,12 +1011,12 @@ def warp_tiles_to_crs(tiles_ds, zoom: int, transformer, *, extent,
             # only — now routed through the shared sampler)
             out[ok] = _sample_kernel(src, px, py, method, nodata)
         arr = out.reshape(out_block, out_block).astype(dtype)
-        return pd.DataFrame(
+        return pa.table(
             {"block_x": [bx], "block_y": [by], "data": [arr.tobytes()],
              "checksum": [_checksum(arr)]}
         )
 
-    return fanned.groupby(["b_x", "b_y"]).map_groups(resample, batch_format="pandas")
+    return fanned.groupby(["b_x", "b_y"]).map_groups(resample, batch_format="pyarrow")
 
 
 def pansharpen_tiles(rgb_ds, pan_ds, *, weights=(1 / 3, 1 / 3, 1 / 3),
@@ -1061,26 +1051,28 @@ def pansharpen_tiles(rgb_ds, pan_ds, *, weights=(1 / 3, 1 / 3, 1 / 3),
 
     w = np.asarray(weights, np.float64)
 
-    def compose(g: pd.DataFrame) -> pd.DataFrame:
-        by_band = {int(r["band"]): np.frombuffer(r["data"], dtype=dtype)
-                   .reshape(TILE, TILE).astype(np.float64)
-                   for _, r in g.iterrows()}
+    def compose(g: pa.Table) -> pa.Table:
+        by_band = {b: np.frombuffer(d, dtype=dtype).reshape(TILE, TILE).astype(np.float64)
+                   for b, d in zip(g["band"].to_pylist(), g["data"].to_pylist())}
         if 3 not in by_band or not all(b in by_band for b in (0, 1, 2)):
-            return pd.DataFrame()
+            return pa.table({"tile_x": pa.array([], pa.int64()),
+                             "tile_y": pa.array([], pa.int64()),
+                             "data": pa.array([], pa.binary()),
+                             "checksum": pa.array([], pa.int64())})
         pan = by_band[3]
         pseudo = sum(w[b] * by_band[b] for b in range(3))
         ratio = np.where(pseudo > 0, pan / np.where(pseudo > 0, pseudo, 1.0), 0.0)
         rgb = [np.clip(np.round(by_band[b] * ratio), 0, 255).astype(np.uint32)
                for b in range(3)]
         packed = rgb[0] | (rgb[1] << 8) | (rgb[2] << 16) | (np.uint32(255) << 24)
-        return pd.DataFrame({
-            "tile_x": [int(g["tile_x"].iloc[0])],
-            "tile_y": [int(g["tile_y"].iloc[0])],
+        return pa.table({
+            "tile_x": [g["tile_x"][0].as_py()],
+            "tile_y": [g["tile_y"][0].as_py()],
             "data": [packed.tobytes()],
             "checksum": [_checksum(packed)],
         })
 
-    return u.groupby(["tile_x", "tile_y"]).map_groups(compose, batch_format="pandas")
+    return u.groupby(["tile_x", "tile_y"]).map_groups(compose, batch_format="pyarrow")
 
 
 def mosaic_tiles(*tile_datasets, op: str = "first", dtype=np.uint32, nodata=0):
@@ -1100,10 +1092,10 @@ def mosaic_tiles(*tile_datasets, op: str = "first", dtype=np.uint32, nodata=0):
     for d in tagged[1:]:
         u = u.union(d)
 
-    def compose(g: pd.DataFrame) -> pd.DataFrame:
-        g = g.sort_values("__pri", kind="mergesort")
+    def compose(g: pa.Table) -> pa.Table:
+        g = g.sort_by("__pri")
         arrs = [np.frombuffer(b, dtype=dtype).reshape(TILE, TILE).astype(np.float64)
-                for b in g["data"]]
+                for b in g["data"].to_pylist()]
         if op == "first":
             out = arrs[0].copy()
             for a in arrs[1:]:
@@ -1118,17 +1110,17 @@ def mosaic_tiles(*tile_datasets, op: str = "first", dtype=np.uint32, nodata=0):
         else:
             raise ValueError(op)
         arr = out.astype(dtype)
-        return pd.DataFrame(
+        return pa.table(
             {
-                "zoom": [int(g["zoom"].iloc[0])],
-                "tile_x": [int(g["tile_x"].iloc[0])],
-                "tile_y": [int(g["tile_y"].iloc[0])],
+                "zoom": [g["zoom"][0].as_py()],
+                "tile_x": [g["tile_x"][0].as_py()],
+                "tile_y": [g["tile_y"][0].as_py()],
                 "data": [arr.tobytes()],
                 "checksum": [_checksum(arr)],
             }
         )
 
-    return u.groupby(["tile_x", "tile_y"]).map_groups(compose, batch_format="pandas")
+    return u.groupby(["tile_x", "tile_y"]).map_groups(compose, batch_format="pyarrow")
 
 
 # ---------------------------------------------------------------------------
@@ -1194,26 +1186,22 @@ def _tile_pieces_arrays(arr: np.ndarray, tile_key: tuple[int, int],
 def _pair_equivalences(borders) -> list[tuple[tuple, tuple]]:
     """Vectorized border pairing: sort by side key; a key appearing exactly
     twice with equal values joins its two labels."""
-    import pandas as pd
-
-    df = pd.DataFrame(borders)
-    if len(df) == 0:
+    b = {k: np.asarray(v) for k, v in borders.items()}
+    if len(b["orient"]) == 0:
         return []
-    pairs = []
     # sort by side key, then compare adjacent rows of the same key
-    df = df.sort_values(["orient", "gx", "gy", "tx", "ty"], kind="mergesort").reset_index(drop=True)
-    key = df[["orient", "gx", "gy"]].to_numpy()
-    same_next = (key[:-1] == key[1:]).all(axis=1)
+    o = np.lexsort((b["ty"], b["tx"], b["gy"], b["gx"], b["orient"]))
+    b = {k: v[o] for k, v in b.items()}
+    same_next = ((b["orient"][:-1] == b["orient"][1:]) & (b["gx"][:-1] == b["gx"][1:])
+                 & (b["gy"][:-1] == b["gy"][1:]))
     # a side cell is shared by at most 2 tiles, so "same as next" marks the
     # first of each pair; guard against accidental >2 (cannot happen on a
     # tile grid)
     first = np.nonzero(same_next)[0]
-    val = df["value"].to_numpy()
-    ok = val[first] == val[first + 1]
-    ta, ya, la = df["tx"].to_numpy(), df["ty"].to_numpy(), df["lab"].to_numpy()
-    for i in first[ok]:
-        pairs.append(((ta[i], ya[i], la[i]), (ta[i + 1], ya[i + 1], la[i + 1])))
-    return pairs
+    ok = b["value"][first] == b["value"][first + 1]
+    ta, ya, la = b["tx"], b["ty"], b["lab"]
+    return [((ta[i], ya[i], la[i]), (ta[i + 1], ya[i + 1], la[i + 1]))
+            for i in first[ok]]
 
 
 def _stitch_component(edge_arrs, connectivity):
@@ -1240,7 +1228,6 @@ def zonal_stats_raster(zones_ds, values_ds, *, zones_dtype=np.uint32,
     sum, sumsq, min, max) per zone id; partials merge with groupby_agg.
     Both inputs are tile tables keyed (tile_x, tile_y). Returns one row
     per zone: (zone, count, sum, mean, min, max, std[population])."""
-    import pandas as pd
     import pyarrow.compute as pc_
 
     from gdal_ray.ops.relational import groupby_agg
@@ -1257,16 +1244,15 @@ def zonal_stats_raster(zones_ds, values_ds, *, zones_dtype=np.uint32,
 
     u = tag(zones_ds, 0).union(tag(values_ds, 1))
 
-    def part(g: pd.DataFrame) -> pd.DataFrame:
+    def part(g: pa.Table) -> pa.Table:
         z = v = None
-        for _, r in g.iterrows():
-            if r["__m"] == 0:
-                z = np.frombuffer(r["data"], dtype=zones_dtype)
+        for m, d in zip(g["__m"].to_pylist(), g["data"].to_pylist()):
+            if m == 0:
+                z = np.frombuffer(d, dtype=zones_dtype)
             else:
-                v = np.frombuffer(r["data"], dtype=values_dtype)
+                v = np.frombuffer(d, dtype=values_dtype)
         if z is None or v is None:
-            return pd.DataFrame({c: [] for c in
-                                 ("zone", "n", "s", "s2", "mn", "mx")})
+            z = v = np.empty(0, np.int64)
         vv = v.astype(np.float64)
         mask = np.ones(z.size, bool) if zone_nodata is None else (z != zone_nodata)
         zi = z[mask].astype(np.int64)
@@ -1279,11 +1265,11 @@ def zonal_stats_raster(zones_ds, values_ds, *, zones_dtype=np.uint32,
         mx = np.full(zs.size, -np.inf)
         np.minimum.at(mn, inv, vi)
         np.maximum.at(mx, inv, vi)
-        return pd.DataFrame({"zone": zs, "n": n.astype(np.int64),
+        return pa.table({"zone": zs, "n": n.astype(np.int64),
                              "s": s, "s2": s2, "mn": mn, "mx": mx})
 
     partials = u.groupby(["tile_x", "tile_y"]).map_groups(
-        part, batch_format="pandas")
+        part, batch_format="pyarrow")
     agg = groupby_agg(partials, ["zone"], [
         ("n", "sum", "n"), ("s", "sum", "s"), ("s2", "sum", "s2"),
         ("mn", "min", "mn"), ("mx", "max", "mx")])

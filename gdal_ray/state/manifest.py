@@ -17,8 +17,8 @@ import hashlib
 import json
 import os
 
-import pandas as pd
 import pyarrow as pa
+import pyarrow.compute as pc
 import pyarrow.parquet as pq
 
 
@@ -27,9 +27,11 @@ def _keystr(key) -> str:
     return hashlib.md5(s.encode()).hexdigest()[:16]
 
 
-def partition_checksum(df: pd.DataFrame) -> str:
-    """Order-insensitive content hash of a partition: md5 of the
-    row-sorted CSV serialization."""
+def partition_checksum(df) -> str:
+    """Order-insensitive content hash of a partition (a pandas DataFrame):
+    md5 of the row-sorted CSV serialization. The pandas CSV text is the
+    checksum format every existing manifest was written with, so it stays
+    until the manifest format itself changes (ROADMAP D5)."""
     if len(df) == 0:
         return "0" * 16
     payload = df.sort_values(list(df.columns), kind="mergesort").to_csv(index=False)
@@ -62,50 +64,49 @@ def write_partitioned_resumable(ds, out_dir: str, partition_col: str,
     sources.geoparquet.write_geoparquet_resumable uses this).
 
     Returns a Dataset of manifest rows (key, rows, checksum, skipped)."""
-    import pyarrow.compute as pc
-
     os.makedirs(os.path.join(out_dir, "_manifest"), exist_ok=True)
     os.makedirs(os.path.join(out_dir, "parts"), exist_ok=True)
     done = set(completed_keys(out_dir))
 
-    if done:
-        import ray
+    import ray
 
-        done_ref = ray.put(done)
+    done_ref = ray.put(done)
 
-        def drop_done(t: pa.Table) -> pa.Table:
-            done_keys = ray.get(done_ref)  # zero-copy local fetch, once per batch
-            keys = [str(k) for k in t[partition_col].to_pylist()]
-            mask = pa.array([k not in done_keys for k in keys])
-            return t.filter(mask)
+    def drop_done(t: pa.Table) -> pa.Table:
+        # no schema metadata into the groupby shuffle (see
+        # ops.relational.hash_partition_reduce)
+        t = t.replace_schema_metadata(None)
+        done_keys = ray.get(done_ref)  # zero-copy local fetch, once per batch
+        if not done_keys:
+            return t
+        keys = [str(k) for k in t[partition_col].to_pylist()]
+        return t.filter(pa.array([k not in done_keys for k in keys], pa.bool_()))
 
-        ds = ds.map_batches(drop_done, batch_format="pyarrow", batch_size=None)
+    ds = ds.map_batches(drop_done, batch_format="pyarrow", batch_size=None)
 
-    def write_group(g: pd.DataFrame) -> pd.DataFrame:
-        key = str(g[partition_col].iloc[0])
+    def write_group(g: pa.Table) -> pa.Table:
+        key = str(g[partition_col][0].as_py())
         ks = _keystr(key)
         frag = os.path.join(out_dir, "parts", f"{ks}.parquet")
         tmp = frag + ".tmp"
-        table = pa.Table.from_pandas(g, preserve_index=False)
-        if prepare is not None:
-            table = prepare(table)
+        table = prepare(g) if prepare is not None else g
         pq.write_table(table, tmp)
         os.replace(tmp, frag)  # atomic commit of the data
         entry = {
             "key": key,
             "rows": int(len(g)),
-            "checksum": partition_checksum(g),
+            "checksum": partition_checksum(g.to_pandas()),  # the checksum format
             "fragment": frag,
         }
         mtmp = os.path.join(out_dir, "_manifest", f"{ks}.json.tmp")
         with open(mtmp, "w") as f:
             json.dump(entry, f)
         os.replace(mtmp, os.path.join(out_dir, "_manifest", f"{ks}.json"))
-        return pd.DataFrame(
+        return pa.table(
             {"key": [key], "rows": [len(g)], "checksum": [entry["checksum"]], "skipped": [False]}
         )
 
-    return ds.groupby(partition_col).map_groups(write_group, batch_format="pandas")
+    return ds.groupby(partition_col).map_groups(write_group, batch_format="pyarrow")
 
 
 def upsert_partitioned(out_dir: str, new_rows, partition_col: str, key_col: str):
@@ -121,14 +122,13 @@ def upsert_partitioned(out_dir: str, new_rows, partition_col: str, key_col: str)
     done = completed_keys(out_dir)
     touched = sorted({str(k) for k in new_rows[partition_col].to_pylist()})
     for part in touched:
-        mask = pa.compute.equal(
-            pa.compute.cast(new_rows[partition_col], pa.string()), part
-        )
-        sub_new = new_rows.filter(mask).to_pandas()
+        mask = pc.equal(pc.cast(new_rows[partition_col], pa.string()), part)
+        sub_new = new_rows.filter(mask).replace_schema_metadata(None)
         if part in done:
-            old = pq.read_table(done[part]["fragment"]).to_pandas()
-            keep = ~old[key_col].isin(set(sub_new[key_col]))
-            merged = pd.concat([old[keep], sub_new], ignore_index=True)
+            old = pq.read_table(done[part]["fragment"]).replace_schema_metadata(None)
+            keep = pc.invert(pc.is_in(old[key_col], value_set=sub_new[key_col].combine_chunks()))
+            merged = pa.concat_tables([old.filter(keep), sub_new],
+                                      promote_options="permissive")
         else:
             merged = sub_new
         ks = _keystr(part)
@@ -136,11 +136,11 @@ def upsert_partitioned(out_dir: str, new_rows, partition_col: str, key_col: str)
         os.makedirs(os.path.dirname(frag), exist_ok=True)
         os.makedirs(os.path.join(out_dir, "_manifest"), exist_ok=True)
         tmp = frag + ".tmp"
-        pq.write_table(pa.Table.from_pandas(merged, preserve_index=False), tmp)
+        pq.write_table(merged, tmp)
         os.replace(tmp, frag)
         entry = {
             "key": part, "rows": int(len(merged)),
-            "checksum": partition_checksum(merged), "fragment": frag,
+            "checksum": partition_checksum(merged.to_pandas()), "fragment": frag,
         }
         mtmp = os.path.join(out_dir, "_manifest", f"{ks}.json.tmp")
         with open(mtmp, "w") as f:

@@ -399,10 +399,9 @@ def dedup_within_doc(ds, text_col: str = "text",
     `{out}_n_kept`.
 
     Zero-shuffle: one vectorized kernel per batch — split fan-out,
-    pandas factorize of the unit strings (exact, no hash collisions),
+    dictionary codes of the unit strings (exact, no hash collisions),
     np.unique over (doc, code) pairs for first-occurrence indices, and a
     ListArray rebuild + binary_join. The corpus never leaves its block."""
-    import pandas as pd
 
     def f(t: pa.Table) -> pa.Table:
         la = pc.split_pattern(t[text_col], delimiter)
@@ -413,7 +412,8 @@ def dedup_within_doc(ds, text_col: str = "text",
         n_docs = len(la)
         doc_of = np.repeat(np.arange(n_docs, dtype=np.int64),
                            np.diff(offsets))
-        codes, _ = pd.factorize(flat.to_pandas(), sort=False)
+        codes = pc.dictionary_encode(flat).indices.to_numpy(
+            zero_copy_only=False).astype(np.int64)
         key = doc_of * (codes.max() + 1 if len(codes) else 1) + codes
         _, first_idx = np.unique(key, return_index=True)
         first_idx.sort()

@@ -34,27 +34,6 @@ def tune_data_context() -> None:
     ctx.execution_options.verbose_progress = False
     ctx._max_num_blocks_in_streaming_gen_buffer = 32
 
-    # Ray 2.49 warns once per operator when an EMPTY output block drops the
-    # schema ("RefBundle with a different schema ... new schema: ").
-    # Filtered rows legitimately produce empty blocks all over these
-    # pipelines and the execute() schema sentinel restores types at the
-    # end, so this specific message is pure noise that buries real
-    # warnings in driver/bench logs. Only the empty-new-schema variant is
-    # dropped; genuine cross-schema warnings still surface.
-    import logging
-
-    class _EmptySchemaNoise(logging.Filter):
-        def filter(self, record: logging.LogRecord) -> bool:
-            msg = record.getMessage()
-            return not ("RefBundle with a different schema" in msg
-                        and ("new schema: ." in msg
-                             or msg.rstrip().endswith("new schema:")))
-
-    lg = logging.getLogger(
-        "ray.data._internal.execution.streaming_executor_state")
-    if not any(isinstance(f, _EmptySchemaNoise) for f in lg.filters):
-        lg.addFilter(_EmptySchemaNoise())
-
 
 def default_num_parts(multiplier: int = 2, floor: int = 32) -> int:
     """Shuffle-partition count keyed off the CLUSTER size, not a constant:
@@ -274,20 +253,10 @@ def partition_ids(t: pa.Table, keys, num_parts: int) -> np.ndarray:
     return (h % np.uint64(num_parts)).astype(np.int64)
 
 
-def pd_to_arrow(df, preserve_index: bool = False) -> pa.Table:
-    """pandas -> Arrow WITHOUT the b'pandas' schema metadata. pyarrow's
-    Schema.__hash__ chokes on the metadata dict, so every from_pandas
-    block makes Ray's schema dedup log a 'Failed to hash the schemas'
-    warning per task — a flood that buries real warnings. We never
-    preserve the index, so the metadata carries nothing we use."""
-    return pa.Table.from_pandas(
-        df, preserve_index=preserve_index).replace_schema_metadata(None)
-
-
 def to_arrow(result) -> pa.Table:
     """Normalise Dataset / pandas / pyarrow results to a pyarrow Table
     (test-side helper; materializes — only for small results)."""
-    import pandas as pd
+    import pandas as pd  # driver-side: accepts a DataFrame a test built
 
     if isinstance(result, pa.Table):
         return result

@@ -108,6 +108,8 @@ CASES = [
     # round-4h: STRING_AGG with required ORDER BY
     "SELECT c_nationkey, STRING_AGG(c_name, '|' ORDER BY c_custkey) AS members, COUNT(*) AS n FROM customer WHERE c_custkey < 60 GROUP BY c_nationkey ORDER BY c_nationkey",
     "SELECT STRING_AGG(n_name, ',' ORDER BY n_nationkey) AS all_nations FROM nation",
+    # STRING_AGG over DOUBLE / TIMESTAMP values writes DuckDB's VARCHAR text
+    "SELECT l_orderkey, STRING_AGG(l_quantity, ',' ORDER BY l_linenumber) AS q, STRING_AGG(l_shipdate, '|' ORDER BY l_linenumber) AS d FROM lineitem WHERE l_orderkey < 40 GROUP BY l_orderkey ORDER BY l_orderkey",
     # round-4h: QUANTILE_DISC aggregates (exact, non-algebraic)
     "SELECT c_mktsegment, QUANTILE_DISC(c_acctbal, 0.5) AS med, QUANTILE_DISC(c_acctbal, 0.9) AS p90, COUNT(*) AS n FROM customer GROUP BY c_mktsegment ORDER BY c_mktsegment",
     "SELECT QUANTILE_DISC(o_totalprice, 0.5) AS med FROM orders",
@@ -228,6 +230,8 @@ CASES = [
     "SELECT s.st, COUNT(*) AS n FROM orders o CROSS JOIN (SELECT DISTINCT o_orderstatus AS st FROM orders) s WHERE o.o_orderstatus = s.st GROUP BY 1 ORDER BY 1",
     "SELECT a.o_orderpriority, b.st, COUNT(*) AS n FROM (SELECT DISTINCT o_orderpriority FROM orders) a CROSS JOIN (SELECT DISTINCT o_orderstatus AS st FROM orders) b GROUP BY 1, 2 ORDER BY 1, 2",
     "SELECT COUNT(*) AS n FROM nation a CROSS JOIN nation b",
+    # a self join's same-named columns both survive the projection
+    "SELECT a.n_name, b.n_name FROM nation a CROSS JOIN nation b WHERE a.n_nationkey = 0 AND b.n_nationkey = 1",
     # NATURAL JOIN (shared names resolved at execute time) + USING
     "SELECT rk, n_name, r_name FROM (SELECT n_regionkey AS rk, n_name FROM nation) a NATURAL JOIN (SELECT r_regionkey AS rk, r_name FROM region) b ORDER BY n_name",
     "SELECT rk, n_name, r_name FROM (SELECT n_regionkey AS rk, n_name FROM nation) a JOIN (SELECT r_regionkey AS rk, r_name FROM region) b USING (rk) ORDER BY n_name",
@@ -252,6 +256,9 @@ CASES = [
     "SELECT o_orderkey, SUM(CASE WHEN o_orderstatus = 'F' THEN 1 ELSE 0 END) OVER (ORDER BY o_orderkey) AS nf FROM orders WHERE o_orderkey < 300 ORDER BY o_orderkey",
     "SELECT o_orderkey, LAG(o_totalprice * 2) OVER (PARTITION BY o_orderstatus ORDER BY o_orderkey) AS lp FROM orders WHERE o_orderkey < 300 ORDER BY o_orderkey",
     "SELECT o_orderkey, RANK() OVER (ORDER BY o_totalprice - o_orderkey) AS r FROM orders WHERE o_orderkey < 200 ORDER BY o_orderkey",
+    # an empty window spec: the whole input is one partition
+    "SELECT n_nationkey, COUNT(*) OVER () AS c, SUM(n_regionkey) OVER () AS s FROM nation",
+    "SELECT COUNT(*) AS n, SUM(rn) AS s, MAX(rn) AS m FROM (SELECT ROW_NUMBER() OVER () AS rn FROM nation) t",
 ]
 
 
@@ -794,23 +801,27 @@ def test_array_agg(sf_dir, con):
 
 
 def test_try_cast_matches_duckdb(sf_dir, con):
-    """TRY_CAST: per-row NULL on conversion failure; numeric strings
-    round half-to-even for integer targets (DuckDB measured behavior)."""
+    """TRY_CAST: per-row NULL on conversion failure, including integer
+    text outside the target type; numeric strings round half away from
+    zero for integer targets (DuckDB measured behavior)."""
     import pyarrow as pa
 
     from gdal_ray.ops.sql import register_table, unregister_table
 
-    tb = pa.table({"i": pa.array(range(8), pa.int64()),
-                   "s": pa.array(["12", "x", "3.5", "", None,
-                                  "-7", "1e3", "08"])})
+    strs = ["12", "x", "3.5", "", None, "-7", "1e3", "08", "2.5", "-2.5",
+            "99999999999999999999", "9223372036854775807",
+            "-9223372036854775809", "3000000000", "1e30"]
+    tb = pa.table({"i": pa.array(range(len(strs)), pa.int64()),
+                   "s": pa.array(strs)})
     register_table("tc_try", tb)
     con.register("tc_try", tb)
     try:
         sql = ("SELECT i, TRY_CAST(s AS BIGINT) AS bi, "
+               "TRY_CAST(s AS INTEGER) AS ii, "
                "TRY_CAST(s AS DOUBLE) AS dd FROM tc_try ORDER BY i")
         got = to_arrow(execute(sql, sf_dir)).to_pandas()
         exp = con.execute(sql).df()
-        for c in ("bi", "dd"):
+        for c in ("bi", "ii", "dd"):
             assert (got[c].isna() == exp[c].isna()).all(), c
             assert got[c].dropna().tolist() == exp[c].dropna().tolist(), c
     finally:
