@@ -4995,6 +4995,8 @@ def _agg_out_type(kind: str, col, E: pa.Table):
     if kind in ("mean", "std", "skew", "kurt", "kurt_pop", "product",
                 "cov_samp", "cov_pop", "cov_sum", "entropy"):
         return pa.float64()
+    if kind == "string_agg":
+        return pa.string()  # the reducer writes VARCHAR text of any input
     if isinstance(col, Node):
         t = _expr_type(col, E)
     elif isinstance(col, str) and col in E.column_names:
@@ -5003,6 +5005,8 @@ def _agg_out_type(kind: str, col, E: pa.Table):
         t = pa.float64()
     if kind == "sum" and pa.types.is_integer(t):
         return pa.int64()  # Arrow group_by sum widens ints
+    if kind == "array_agg":
+        return pa.list_(t)
     return t
 
 

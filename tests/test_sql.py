@@ -800,6 +800,22 @@ def test_array_agg(sf_dir, con):
     assert list(g2["ks"][0]) == list(e2["ks"][0])
 
 
+@pytest.mark.parametrize("sql", [
+    "SELECT LIST(n_nationkey ORDER BY n_nationkey) AS ks FROM nation "
+    "WHERE n_regionkey = 1",
+    "SELECT l_orderkey, STRING_AGG(l_discount, ',' ORDER BY l_linenumber) "
+    "AS d FROM lineitem WHERE l_orderkey < 40 GROUP BY l_orderkey",
+])
+def test_list_and_string_agg_blocks_share_one_schema(sf_dir, sql):
+    """The typed 0-row block unioned onto every result types LIST as a list
+    of its element and STRING_AGG as VARCHAR, as the reducers write them."""
+    import ray
+
+    ds = execute(sql, sf_dir)
+    schemas = {ray.get(r).schema for r in ds.to_arrow_refs()}
+    assert len(schemas) == 1, schemas
+
+
 def test_try_cast_matches_duckdb(sf_dir, con):
     """TRY_CAST: per-row NULL on conversion failure, including integer
     text outside the target type; numeric strings round half away from
