@@ -50,12 +50,11 @@ def _set_bits(pos: np.ndarray, num_words: int) -> tuple[np.ndarray, np.ndarray]:
     return wi[new], words
 
 
-def bloom_build(ds, col: str, *, num_bits: int = 1 << 23, k: int = 6,
-                tree_width: int = 16) -> np.ndarray:
+def bloom_build(ds, col: str, *, num_bits: int = 1 << 23, k: int = 6) -> np.ndarray:
     """Build the uint64-word bitset from a Dataset column. Per batch only
-    the nonzero (word_idx, word) pairs are emitted; a tree reduce ORs them
-    down before the driver folds the final (bounded by num_bits/64 words
-    per partial, typically far sparser)."""
+    the nonzero (word_idx, word) pairs are emitted (at most num_bits/64,
+    typically far sparser); tree_reduce ORs them down to one table of
+    words, scattered here into the returned bitset."""
     num_words = (num_bits + 63) >> 6
 
     def partial(t: pa.Table) -> pa.Table:
@@ -77,14 +76,12 @@ def bloom_build(ds, col: str, *, num_bits: int = 1 << 23, k: int = 6,
         return pa.table({"wi": pa.array(wi[new], pa.int64()),
                          "w": pa.array(words, pa.uint64())})
 
+    from gdal_ray.ops.relational import tree_reduce
     from gdal_ray.util import to_arrow
 
-    parts = (
-        ds.map_batches(partial, batch_format="pyarrow", batch_size=None)
-        .repartition(tree_width)
-        .map_batches(or_merge, batch_format="pyarrow", batch_size=None)
-    )
-    final = or_merge(to_arrow(parts))
+    final = to_arrow(tree_reduce(
+        ds.map_batches(partial, batch_format="pyarrow", batch_size=None),
+        or_merge))
     bits = np.zeros(num_words, np.uint64)
     bits[final["wi"].to_numpy(zero_copy_only=False)] = \
         final["w"].to_numpy(zero_copy_only=False)

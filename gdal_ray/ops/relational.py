@@ -143,16 +143,28 @@ def head_k(keys: Sequence[str], order, k: int):
     return merge
 
 
-def tree_reduce(ds, fn, width: int):
-    """Two-level tree merge: repartition(width) -> fn per block ->
-    repartition(1) -> fn. fn(pa.Table) -> pa.Table must accept its own
-    outputs (a merge that is associative over blocks); the final task reads
-    at most width blocks of fn's output. width 1 is the final level alone,
-    for inputs known to be small: a split repartition(width) of fewer rows
-    than width pads with zero-column blocks."""
-    for n in ((width, 1) if width > 1 else (1,)):
-        ds = ds.repartition(n).map_batches(fn, batch_format="pyarrow", batch_size=None)
-    return ds
+# Fan-in of tree_reduce's final task: it reads at most this many blocks.
+TREE_WIDTH = 16
+
+
+def tree_reduce(ds, fn):
+    """Merge a Dataset of partial blocks into one block with fn(pa.Table) ->
+    pa.Table, a merge that accepts its own outputs (associative over rows).
+
+    The partials are materialized first; they are small by construction (a
+    combiner emits at most one row per key per block). The tree coalesces or
+    skips, never splits: if there are more than TREE_WIDTH partial blocks
+    (and rows), one level of repartition(TREE_WIDTH) + fn merges runs of
+    adjacent blocks; then repartition(1) + fn merges the rest. The final
+    task therefore reads at most TREE_WIDTH blocks of fn's output (or at
+    most TREE_WIDTH rows), and no level pads with zero-column blocks or runs
+    tasks that merge nothing. The merge is not a map_batches with a
+    row-count batch_size: Ray fuses such a map into the upstream chain."""
+    ds = ds.materialize()
+    if ds.num_blocks() > TREE_WIDTH and ds.count() > TREE_WIDTH:
+        ds = ds.repartition(TREE_WIDTH).map_batches(
+            fn, batch_format="pyarrow", batch_size=None)
+    return ds.repartition(1).map_batches(fn, batch_format="pyarrow", batch_size=None)
 
 
 # ---------------------------------------------------------------------------
@@ -280,16 +292,19 @@ def groupby_agg(
     order-sensitive).
 
     merge="tree" (default): after the per-batch combiner, partials are
-    merged with a pure-Arrow tree reduce (repartition -> pyarrow group_by
-    per block -> single final merge). All aggregates here are algebraic, so
-    this is exact, and it avoids Ray's sort-based Aggregate entirely (which
-    costs seconds of fixed overhead per call). Valid while the DISTINCT KEY
-    SET fits one block (~10M keys).
+    merged with tree_reduce: the partials are materialized when groupby_agg
+    is called, more than TREE_WIDTH partial blocks are first coalesced to
+    TREE_WIDTH merged blocks, and one final task merges at most TREE_WIDTH
+    blocks. All aggregates here are algebraic, so this is exact, and it
+    avoids Ray's sort-based Aggregate entirely (which costs seconds of fixed
+    overhead per call). Valid while the DISTINCT KEY SET fits one block
+    (~10M keys).
 
     merge="hash": partials are hash-partitioned by key (one narrow int64
-    shuffle column) and each partition merges its disjoint key set
-    independently — no single-task stage, the right mode past the ~10M-key
-    tree bound. Any other merge value raises ValueError.
+    shuffle column) into shuffle_partitions * 32 parts, and each partition
+    merges its disjoint key set independently — no single-task stage, the
+    right mode past the ~10M-key tree bound; the result stays lazy. Any
+    other merge value raises ValueError.
     """
     if merge not in ("tree", "hash"):
         raise ValueError(f"merge must be 'tree' or 'hash', not {merge!r}")
@@ -514,8 +529,7 @@ def groupby_agg(
 
     mb = merge_welford if (moment_orders or cov_pairs) else merge_batch
     if merge == "tree":
-        # a global aggregate has one partial row per input block
-        merged = tree_reduce(partial_ds, mb, shuffle_partitions if keys else 1)
+        merged = tree_reduce(partial_ds, mb)
     else:
         merged = hash_partition_reduce(
             partial_ds, global_key, mb, num_parts=shuffle_partitions * 32)
@@ -597,13 +611,12 @@ def groupby_agg(
 # ---------------------------------------------------------------------------
 
 
-def topk(ds, sort_cols: Sequence[tuple[str, bool]], k: int,
-         *, tree_width: int = 16):
+def topk(ds, sort_cols: Sequence[tuple[str, bool]], k: int):
     """ORDER BY ... LIMIT k. sort_cols = [(col, descending)]. Per-block
-    partial top-k, then a TWO-LEVEL tree merge: tree_width intermediate
-    partial top-k tasks, then one final over <= tree_width*k rows — the
-    final task's input is bounded by tree_width*k regardless of how many
-    blocks the input had (no num_blocks*k funnel). No Ray sort anywhere."""
+    partial top-k, then tree_reduce: the final task reads at most
+    TREE_WIDTH*k rows however many blocks the input had (no num_blocks*k
+    funnel). No Ray sort anywhere. Runs the input up to the partial top-k
+    when called (tree_reduce materializes the partials)."""
     sort_keys = [(c, "descending" if d else "ascending") for c, d in sort_cols]
 
     def partial(t: pa.Table) -> pa.Table:
@@ -611,8 +624,7 @@ def topk(ds, sort_cols: Sequence[tuple[str, bool]], k: int,
         return t.take(pc.sort_indices(t, sort_keys=sort_keys)[:k])
 
     return tree_reduce(
-        ds.map_batches(partial, batch_format="pyarrow", batch_size=None),
-        partial, tree_width)
+        ds.map_batches(partial, batch_format="pyarrow", batch_size=None), partial)
 
 
 # ---------------------------------------------------------------------------
@@ -1156,6 +1168,11 @@ def asof_join(left_ds, right_ds, *, on: str, by: Sequence[str] = (),
     if direction not in ("backward", "forward"):
         raise ValueError("direction must be 'backward' or 'forward'")
 
+    # schema() of a lazy Dataset runs a limit(1) plan, and Ray 2.49 can
+    # abort the process while that plan cancels its upstream tasks. Both
+    # sides are exchanged in full below, so running each once now costs no
+    # extra pass (the limit(1) probe re-ran part of each pipeline).
+    left_ds, right_ds = left_ds.materialize(), right_ds.materialize()
     l_schema, r_schema = left_ds.schema(), right_ds.schema()
     l_cols = l_schema.names
     r_cols = r_schema.names

@@ -243,7 +243,7 @@ def exact_quantiles_cont(ds, col: str, qs):
     return np.asarray(out)
 
 
-def heavy_hitters(ds, col: str, *, phi: float, tree_width: int = 16):
+def heavy_hitters(ds, col: str, *, phi: float):
     """EXACT φ-heavy hitters (all values with count >= ceil(φ·N)) in two
     distributed passes — the standard mergeable-summary recipe (Misra-
     Gries; mergeability per Agarwal et al., "Mergeable Summaries", PODS'12
@@ -256,8 +256,8 @@ def heavy_hitters(ds, col: str, *, phi: float, tree_width: int = 16):
        count > N/m <= φN/2; summary size is bounded by m regardless of N.
     2. Exact recount: the <= m candidates broadcast via ray.put; one
        map_batches filters + counts them per batch (plus the batch row
-       count for N), and a tiny sum finalizes exact counts and applies
-       the ceil(φ·N) threshold.
+       count for N), a tree_reduce sums them to exact counts, and the
+       ceil(φ·N) threshold applies to that one small table.
 
     Returns a pa.Table (value col named as input, "n" int64), count desc /
     value asc — bounded by 1/φ rows, so a driver-side table is safe.
@@ -287,7 +287,7 @@ def heavy_hitters(ds, col: str, *, phi: float, tree_width: int = 16):
 
     summary = tree_reduce(
         ds.map_batches(partial, batch_format="pyarrow", batch_size=None),
-        _mg_truncate, tree_width)
+        _mg_truncate)
     from gdal_ray.util import to_arrow
 
     cands = to_arrow(summary)[col].combine_chunks()
@@ -313,12 +313,9 @@ def heavy_hitters(ds, col: str, *, phi: float, tree_width: int = 16):
         g = arrow_group_by(t, [col], [("n", "sum"), ("total", "sum")])
         return g.rename_columns([col, "n", "total"])
 
-    parts = (
-        ds.map_batches(recount, batch_format="pyarrow", batch_size=None)
-        .repartition(tree_width)
-        .map_batches(_sum_groups, batch_format="pyarrow", batch_size=None)
-    )
-    agg = _sum_groups(to_arrow(parts))  # <= tree_width * (m + 1) rows
+    agg = to_arrow(tree_reduce(  # <= m + 1 rows
+        ds.map_batches(recount, batch_format="pyarrow", batch_size=None),
+        _sum_groups))
     total = int(pc.sum(agg["total"]).as_py())
     thresh = int(np.ceil(phi * total))
     counted = agg.filter(pc.is_valid(agg[col])).select([col, "n"])

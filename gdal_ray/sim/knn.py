@@ -30,8 +30,11 @@ def brute_force_topk(ds, queries: np.ndarray, query_ids: np.ndarray, k: int,
     """Top-k most-similar vectors per query. queries: (q, d) float64.
 
     Per-batch: one matmul (d x q) against the broadcast query matrix ->
-    partial top-k per query -> rows (query_id, vec_id, score); final:
-    groupby(query_id) merge of partials. Only q*k rows per block shuffle.
+    partial top-k per query -> rows (query_id, vec_id, score), at most q*k
+    per block; ops.relational.tree_reduce then merges them per query_id.
+    The partials are computed when this is called (tree_reduce materializes
+    them); more than TREE_WIDTH partial blocks are coalesced to TREE_WIDTH
+    first, so the final merge reads at most TREE_WIDTH*q*k rows.
     """
     import ray
 
@@ -69,10 +72,8 @@ def brute_force_topk(ds, queries: np.ndarray, query_ids: np.ndarray, k: int,
         )
 
     partials = ds.map_batches(partial, batch_format="pyarrow", batch_size=None)
-    # two-level tree merge: never a single task holding q*k*num_blocks
-    # rows — at 10^6 blocks that is a funnel.
     return tree_reduce(partials, head_k(
-        ["query_id"], [("score", "descending"), (id_col, "ascending")], k), 16)
+        ["query_id"], [("score", "descending"), (id_col, "ascending")], k))
 
 
 def kmeans_centroids(X: np.ndarray, nlist: int, *, iters: int = 8, seed: int = 7) -> np.ndarray:
@@ -148,7 +149,7 @@ def ivf_topk(ds, queries: np.ndarray, query_ids: np.ndarray, k: int,
 
     partials = ds.map_batches(partial, batch_format="pyarrow", batch_size=None)
     return tree_reduce(partials, head_k(
-        ["query_id"], [("score", "descending"), (id_col, "ascending")], k), 16)
+        ["query_id"], [("score", "descending"), (id_col, "ascending")], k))
 
 
 class HyperplaneLSH:
@@ -266,12 +267,12 @@ def pq_adc_tables(queries: np.ndarray, books: np.ndarray) -> np.ndarray:
 def pq_topk(ds, queries: np.ndarray, query_ids: np.ndarray, k: int,
             *, m: int = 8, ksub: int = 256, train_sample: int = 4096,
             id_col: str = "vec_id", vec_col: str = "embedding",
-            exclude_self: bool = True, tree_width: int = 16):
+            exclude_self: bool = True):
     """PQ-compressed approximate top-k by L2 distance: codebooks train on
     a driver-side sample and broadcast with the per-query ADC tables;
     each batch encodes its vectors once (m argmins) and scans with pure
     table-lookup sums (np.take + sum over m — no per-query matmul).
-    Same two-level tree merge as brute_force_topk. Returns
+    Same tree merge as brute_force_topk. Returns
     (query_id, vec_id, dist) rows, smallest distance first."""
     import ray
 
@@ -308,5 +309,4 @@ def pq_topk(ds, queries: np.ndarray, query_ids: np.ndarray, k: int,
 
     partials = ds.map_batches(partial, batch_format="pyarrow", batch_size=None)
     return tree_reduce(partials, head_k(
-        ["query_id"], [("dist", "ascending"), ("vec_id", "ascending")], k),
-        tree_width)
+        ["query_id"], [("dist", "ascending"), ("vec_id", "ascending")], k))

@@ -128,9 +128,11 @@ def _pip_apply(t: pa.Table, attrs: pa.Table, pset, lon_col, lat_col, how):
 def knn_points(ds, queries: pa.Table, k: int, *, id_col="id", lon_col="lon",
                lat_col="lat", exclude_self=True):
     """Streaming kNN: the query points are broadcast (small side), the point
-    dataset streams through; each batch yields a partial top-k per query and
-    a final per-query merge reduces them. Only q*k rows leave each block.
-    Returns (query_id, neighbor_id, dist, rank)."""
+    dataset streams through; each batch yields a partial top-k per query
+    (at most q*k rows leave each block), computed when this is called, and
+    ops.relational.tree_reduce merges them per query: the final task reads
+    at most TREE_WIDTH*q*k rows. Returns (query_id, neighbor_id, dist,
+    rank)."""
     import ray
 
     from gdal_ray.ops.relational import (head_k, segment_positions, sort_segments,
@@ -171,10 +173,7 @@ def knn_points(ds, queries: pa.Table, k: int, *, id_col="id", lon_col="lon",
         t, starts = sort_segments(t, ["query_id"], order)
         return t.append_column("rank", pa.array(segment_positions(starts, len(t)) + 1))
 
-    # two-level tree merge (the topk pattern): 16 intermediate per-query
-    # head-k tasks, then one final over <= 16*q*k rows — bounded
-    # regardless of input block count (no num_blocks funnel)
-    return tree_reduce(partials, head_k(["query_id"], order, k), 16) \
+    return tree_reduce(partials, head_k(["query_id"], order, k)) \
         .map_batches(rank, batch_format="pyarrow", batch_size=None)
 
 

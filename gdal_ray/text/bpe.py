@@ -206,8 +206,7 @@ def bpe_train(ds, text_col: str = "text", num_merges: int = 50,
     for rank in range(num_merges):
         pairs = vocab.map_batches(_pair_partials, batch_format="pyarrow",
                                   batch_size=None)
-        agg = groupby_agg(pairs, ["l", "r"], [("cnt", "sum", "w")],
-                          merge="tree", shuffle_partitions=num_parts)
+        agg = groupby_agg(pairs, ["l", "r"], [("cnt", "sum", "w")])
         # argmax tie-break is on the symbol STRINGS (reference semantics),
         # so label the bounded aggregated pair table before the top-1
         strs = np.asarray(sym_strs, dtype=object)

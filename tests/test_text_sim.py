@@ -293,24 +293,33 @@ def test_pq_topk_recall_and_exactness_limit():
 def test_ann_merges_are_tree_shaped(sf_dir):
     """VERDICT r3 item 2: brute_force_topk / ivf_topk must pre-reduce
     partials through a tree stage before the single-partition head-k —
-    never one task holding q*k*num_blocks rows. The plan must show TWO
-    Repartition stages with a merge map between them (pq_topk's ladder)."""
+    never one task holding q*k*num_blocks rows. Fed more partial blocks
+    than TREE_WIDTH, the plan must show TWO Repartition stages with a merge
+    map between them; fed fewer, the final merge alone (one Repartition),
+    which then reads at most TREE_WIDTH blocks."""
     import re
 
     import numpy as np
 
+    from gdal_ray.ops.relational import TREE_WIDTH
     from gdal_ray.sim.knn import brute_force_topk, ivf_topk
     from gdal_ray.util import read_table
 
-    ds = read_table(sf_dir, "embeddings")
+    # the parquet carries pandas schema metadata, which Ray cannot hash
+    # when it repartitions the raw read
+    ds = read_table(sf_dir, "embeddings").map_batches(
+        lambda t: t.replace_schema_metadata(None), batch_format="pyarrow",
+        batch_size=None)
     dim = len(read_table(sf_dir, "embeddings").take(1)[0]["embedding"])
     q = np.random.RandomState(0).standard_normal((2, dim))
     for fn in (brute_force_topk, ivf_topk):
-        out = fn(ds, q, np.array([900001, 900002]), 3)
-        plan = repr(out)  # lazy Dataset repr prints the full logical chain
-        stages = re.findall(r"Repartition", plan)
-        assert len(stages) >= 2, f"{fn.__name__} plan lacks tree merge: {plan}"
-        assert out.count() > 0
+        for blocks, levels in ((2 * TREE_WIDTH, 2), (2, 1)):
+            out = fn(ds.repartition(blocks), q, np.array([900001, 900002]), 3)
+            plan = repr(out)  # the partials are materialized; the tree remains
+            stages = re.findall(r"Repartition", plan)
+            assert len(stages) == levels, \
+                f"{fn.__name__} over {blocks} blocks: {plan}"
+            assert out.count() > 0
 
 
 def test_arrow_tokenizer_bit_parity_with_per_doc_path():

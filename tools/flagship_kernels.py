@@ -5,8 +5,8 @@ The flagship's stage functions (`pipelines.pages.synthesize_pages`,
 `pipelines.pages.tile_pyramid`) are composed over `OneBlock`, a stand-in
 for a Ray Dataset that holds one `pa.Table`: its `map_batches(fn)` runs fn
 on that table here, so every UDF sees the whole input as one batch. Each
-UDF is timed as the median of 3 calls; the two tree-merge levels of the
-pyramid aggregate are summed under `merge`. The PIP entry includes the
+UDF is timed as the median of 3 calls; the pyramid aggregate's tree merge
+(one block, so its final level alone) is `merge`. The PIP entry includes the
 `PolygonSet` build, which a Ray worker pays once per process.
 
 Usage: python tools/flagship_kernels.py SF_DIR [--repeat N]
@@ -44,8 +44,8 @@ LABELS = {
 
 class OneBlock:
     """A Dataset of one block: map_batches applies fn to the table in this
-    process and records its median time; repartition and select_columns
-    pass the table through."""
+    process and records its median time; materialize, repartition and
+    select_columns pass the table through."""
 
     def __init__(self, table: pa.Table, seconds: dict):
         self.table, self.seconds = table, seconds
@@ -59,6 +59,12 @@ class OneBlock:
         label = LABELS.get(fn.__qualname__, fn.__name__)
         self.seconds[label] += statistics.median(times)
         return OneBlock(out, self.seconds)
+
+    def materialize(self):
+        return self
+
+    def num_blocks(self) -> int:
+        return 1
 
     def repartition(self, *_, **__):
         return self
