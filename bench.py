@@ -184,8 +184,7 @@ def run_bench() -> dict:
             synth_urls, batch_format="pyarrow", batch_size=None
         )
         s = time.time()
-        survivors = first_by(urls, ["url"], ["id"], merge="hash",
-                             num_parts=num_cpus * 8).count()
+        survivors = first_by(urls, ["url"], ["id"]).count()
         dt = time.time() - s
         timings["dedup10m_urls"] = round(dt, 3)
         timings["dedup10m_urls_per_sec"] = round(n_urls / dt, 1)
@@ -242,8 +241,7 @@ def run_bench() -> dict:
             banded, ["band_id", "band_hash"],
             lambda t: _bucket_pairs_partition(t, "doc_id", 256),
             num_parts=num_cpus * 8)
-        n_pairs = op_distinct(cand, ["id_a", "id_b"], merge="hash",
-                              num_parts=num_cpus * 8).count()
+        n_pairs = op_distinct(cand, ["id_a", "id_b"]).count()
         dt = time.time() - s
         timings["lsh10m_candidates"] = round(dt, 3)
         timings["lsh10m_rows_per_sec"] = round(n_lsh_rows / dt, 1)
@@ -370,7 +368,7 @@ def run_bench() -> dict:
         cur_docs = rd.range(n_cur, override_num_blocks=num_cpus * 4) \
             .map_batches(synth_docs, batch_format="pyarrow", batch_size=None)
         s = time.time()
-        n_out = curate(cur_docs, dedup_merge="hash").count()
+        n_out = curate(cur_docs).count()
         dt = time.time() - s
         timings["curate1m"] = round(dt, 3)
         timings["curate1m_docs_per_sec"] = round(n_cur / dt, 1)
@@ -429,14 +427,13 @@ def run_bench() -> dict:
         assert 0 < n_seqs <= n_cur
 
         # BPE tokenizer training over the same 10^6 salted docs: ONE
-        # (word, count) hash shuffle, then 8 merge rounds — vectorized
+        # (word, count) merge, then 8 merge rounds — vectorized
         # adjacency kernel over the ~10^6-word vocab + a tiny (pair,
         # count) tree merge + top-1 per round
         from gdal_ray.text.bpe import bpe_train
 
         s = time.time()
-        merges = bpe_train(cur_docs, num_merges=8, min_count=2,
-                           num_parts=num_cpus * 2)
+        merges = bpe_train(cur_docs, num_merges=8, min_count=2)
         dt = time.time() - s
         timings["bpetrain1m"] = round(dt, 3)
         timings["bpetrain1m_docs_per_sec"] = round(n_cur / dt, 1)

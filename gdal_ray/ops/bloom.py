@@ -54,7 +54,8 @@ def bloom_build(ds, col: str, *, num_bits: int = 1 << 23, k: int = 6) -> np.ndar
     """Build the uint64-word bitset from a Dataset column. Per batch only
     the nonzero (word_idx, word) pairs are emitted (at most num_bits/64,
     typically far sparser); tree_reduce ORs them down to one table of
-    words, scattered here into the returned bitset."""
+    words, scattered here into the returned bitset. An empty Dataset gives
+    an all-zero bitset."""
     num_words = (num_bits + 63) >> 6
 
     def partial(t: pa.Table) -> pa.Table:
@@ -83,8 +84,9 @@ def bloom_build(ds, col: str, *, num_bits: int = 1 << 23, k: int = 6) -> np.ndar
         ds.map_batches(partial, batch_format="pyarrow", batch_size=None),
         or_merge))
     bits = np.zeros(num_words, np.uint64)
-    bits[final["wi"].to_numpy(zero_copy_only=False)] = \
-        final["w"].to_numpy(zero_copy_only=False)
+    if final.num_rows:  # an empty input leaves no partial, so no columns
+        bits[final["wi"].to_numpy(zero_copy_only=False)] = \
+            final["w"].to_numpy(zero_copy_only=False)
     return bits
 
 

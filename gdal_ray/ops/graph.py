@@ -52,6 +52,15 @@ def _sever(ds):
     return rd.from_arrow_refs(m.to_arrow_refs())
 
 
+def _row_refs(ds) -> list:
+    """The materialized blocks that hold rows. A hash exchange returns its
+    empty partitions as zero-column blocks, and the per-partition concats
+    below fall back on a piece's schema."""
+    m = ds.materialize()
+    return [ref for b in m.iter_internal_ref_bundles()
+            for ref, meta in b.blocks if meta.num_rows]
+
+
 def _pairs_to_edges(pairs_ds, a_col: str, b_col: str):
     """(a, b) pairs -> symmetric (node, nbr) edge rows."""
 
@@ -275,8 +284,7 @@ def connected_components(pairs_ds, a_col: str = "id_a", b_col: str = "id_b",
     if num_parts is None:
         num_parts = min(default_num_parts(multiplier=1, floor=16), 256)
 
-    edge_refs = _pairs_to_edges(pairs_ds, a_col, b_col) \
-        .materialize().to_arrow_refs()
+    edge_refs = _row_refs(_pairs_to_edges(pairs_ds, a_col, b_col))
     if not edge_refs:
         return rd.from_arrow(pa.table({"node": pa.array([], pa.int64()),
                                        "component": pa.array([], pa.int64())}))
@@ -442,9 +450,8 @@ def bfs_shortest_paths(edges_ds, sources, *, src_col: str = "src",
         return pa.table({"src": pc.cast(t[src_col], pa.int64()),
                          "dst": pc.cast(t[dst_col], pa.int64())})
 
-    edge_refs = edges_ds.map_batches(norm, batch_format="pyarrow",
-                                     batch_size=None) \
-        .materialize().to_arrow_refs()
+    edge_refs = _row_refs(edges_ds.map_batches(norm, batch_format="pyarrow",
+                                               batch_size=None))
     srcs = np.unique(np.asarray(list(sources), np.int64))
     src_tbl = pa.table({"node": pa.array(srcs, pa.int64()),
                         "d": pa.array(np.zeros(srcs.size, np.int64))})
@@ -600,9 +607,8 @@ def sssp_weighted(edges_ds, sources, *, src_col: str = "src",
                          "dst": pc.cast(t[dst_col], pa.int64()),
                          "w": pc.cast(t[weight_col], pa.int64())})
 
-    edge_refs = edges_ds.map_batches(norm, batch_format="pyarrow",
-                                     batch_size=None) \
-        .materialize().to_arrow_refs()
+    edge_refs = _row_refs(edges_ds.map_batches(norm, batch_format="pyarrow",
+                                               batch_size=None))
     srcs = np.unique(np.asarray(list(sources), np.int64))
     src_tbl = pa.table({"node": pa.array(srcs, pa.int64()),
                         "d": pa.array(np.zeros(srcs.size, np.int64))})
@@ -848,9 +854,8 @@ def pagerank(edges_ds, *, src_col: str = "src", dst_col: str = "dst",
         return pa.table({"src": pc.cast(t[src_col], pa.int64()),
                          "dst": pc.cast(t[dst_col], pa.int64())})
 
-    edge_refs = edges_ds.map_batches(norm, batch_format="pyarrow",
-                                     batch_size=None) \
-        .materialize().to_arrow_refs()
+    edge_refs = _row_refs(edges_ds.map_batches(norm, batch_format="pyarrow",
+                                               batch_size=None))
     if not edge_refs:
         return rd.from_arrow(pa.table({"node": pa.array([], pa.int64()),
                                        "rank": pa.array([], pa.float64())}))

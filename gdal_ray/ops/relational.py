@@ -32,10 +32,10 @@ import pyarrow.compute as pc
 
 
 # ---------------------------------------------------------------------------
-# hash-partitioned reduce (the scale-safe merge for first_by / distinct /
-# groupby_agg): every row is routed to hash(key) % num_parts, the shuffle key
-# is ONE narrow int64 column, and each partition reduces its disjoint key set
-# independently — no single-task winners-of-winners funnel anywhere.
+# hash-partitioned reduce (the scale-safe merge that tree_reduce picks for
+# keyed partials past TREE_MAX_BYTES): every row is routed to hash(key) %
+# num_parts, the shuffle key is ONE narrow int64 column, and each partition
+# reduces its disjoint key set independently — no single-task funnel.
 # ---------------------------------------------------------------------------
 
 _PART_COL = "__part"
@@ -145,22 +145,35 @@ def head_k(keys: Sequence[str], order, k: int):
 
 # Fan-in of tree_reduce's final task: it reads at most this many blocks.
 TREE_WIDTH = 16
+# Largest keyed partial set (bytes, summed over the materialized partial
+# blocks) that tree_reduce merges in one final task; past it the partials
+# go through hash_partition_reduce. It bounds one task's memory, not speed:
+# the tree was faster than the hash exchange at every size measured, up to
+# 7.1M partial rows (ROADMAP D2).
+TREE_MAX_BYTES = 64 << 20
 
 
-def tree_reduce(ds, fn):
-    """Merge a Dataset of partial blocks into one block with fn(pa.Table) ->
-    pa.Table, a merge that accepts its own outputs (associative over rows).
+def tree_reduce(ds, fn, keys: Sequence[str] = ()):
+    """Merge a Dataset of partial blocks with fn(pa.Table) -> pa.Table, a
+    merge that accepts its own outputs (associative over rows). The one
+    merge rule for partials:
 
-    The partials are materialized first; they are small by construction (a
-    combiner emits at most one row per key per block). The tree coalesces or
-    skips, never splits: if there are more than TREE_WIDTH partial blocks
-    (and rows), one level of repartition(TREE_WIDTH) + fn merges runs of
-    adjacent blocks; then repartition(1) + fn merges the rest. The final
-    task therefore reads at most TREE_WIDTH blocks of fn's output (or at
-    most TREE_WIDTH rows), and no level pads with zero-column blocks or runs
-    tasks that merge nothing. The merge is not a map_batches with a
-    row-count batch_size: Ray fuses such a map into the upstream chain."""
+    The partials are materialized first, so their size is known from block
+    metadata. A keyed merge (fn reduces each key of `keys` on its own rows)
+    whose partials hold more than TREE_MAX_BYTES goes through
+    hash_partition_reduce(ds, keys, fn): each partition merges its disjoint
+    key set, and the result stays lazy. Every other merge is a tree that
+    coalesces or skips, never splits: if there are more than TREE_WIDTH
+    partial blocks (and rows), one level of repartition(TREE_WIDTH) + fn
+    merges runs of adjacent blocks; then repartition(1) + fn merges the
+    rest into one block. The final task therefore reads at most TREE_WIDTH
+    blocks of fn's output and, for a keyed merge, at most TREE_MAX_BYTES;
+    an unkeyed merge (top-k, a bitset) must bound its own partials. The
+    merge is not a map_batches with a row-count batch_size: Ray fuses such
+    a map into the upstream chain."""
     ds = ds.materialize()
+    if keys and ds.size_bytes() > TREE_MAX_BYTES:
+        return hash_partition_reduce(ds, keys, fn)
     if ds.num_blocks() > TREE_WIDTH and ds.count() > TREE_WIDTH:
         ds = ds.repartition(TREE_WIDTH).map_batches(
             fn, batch_format="pyarrow", batch_size=None)
@@ -278,9 +291,6 @@ def groupby_agg(
     specs: Sequence[tuple[str, str, str | None]],
     *,
     round_to: dict[str, int] | None = None,
-    batch_size: int | None = None,
-    shuffle_partitions: int = 8,
-    merge: str = "tree",
 ):
     """Distributed GROUP BY with partial (combiner) aggregation.
 
@@ -291,23 +301,15 @@ def groupby_agg(
     oracle comparison must round identically — parallel float summation is
     order-sensitive).
 
-    merge="tree" (default): after the per-batch combiner, partials are
-    merged with tree_reduce: the partials are materialized when groupby_agg
-    is called, more than TREE_WIDTH partial blocks are first coalesced to
-    TREE_WIDTH merged blocks, and one final task merges at most TREE_WIDTH
-    blocks. All aggregates here are algebraic, so this is exact, and it
-    avoids Ray's sort-based Aggregate entirely (which costs seconds of fixed
-    overhead per call). Valid while the DISTINCT KEY SET fits one block
-    (~10M keys).
-
-    merge="hash": partials are hash-partitioned by key (one narrow int64
-    shuffle column) into shuffle_partitions * 32 parts, and each partition
-    merges its disjoint key set independently — no single-task stage, the
-    right mode past the ~10M-key tree bound; the result stays lazy. Any
-    other merge value raises ValueError.
+    After the per-batch combiner, the partials merge through tree_reduce
+    keyed by `keys`: the partials are materialized when groupby_agg is
+    called; up to TREE_MAX_BYTES of them merge in one final task (after a
+    coalescing level past TREE_WIDTH blocks), more go through the hash
+    exchange. All aggregates here are algebraic, so both are exact, and
+    neither uses Ray's sort-based Aggregate (seconds of fixed overhead per
+    call). A global aggregate (keys=[]) over no rows gives one row, as in
+    SQL: counts 0, every other aggregate a float64 NULL.
     """
-    if merge not in ("tree", "hash"):
-        raise ValueError(f"merge must be 'tree' or 'hash', not {merge!r}")
     keys = list(keys)
     round_to = round_to or {}
     partials, plan, moment_orders, cov_pairs = _partial_plan(specs)
@@ -437,7 +439,15 @@ def groupby_agg(
             out = out.append_column(f"{tag}__c2", pa.array(c2))
         return out
 
-    partial_ds = ds.map_batches(combine, batch_format="pyarrow", batch_size=batch_size)
+    partial_ds = ds.map_batches(combine, batch_format="pyarrow", batch_size=None)
+    if not keys:
+        partial_ds = partial_ds.materialize()
+        if not partial_ds.count():
+            import ray.data as rd
+
+            return rd.from_arrow(pa.table({
+                out: pa.array([0], pa.int64()) if kind in ("count", "count_star")
+                else pa.nulls(1, pa.float64()) for out, kind, _ in specs}))
 
     # merge function for partial columns (all algebraic): sum/count -> sum,
     # min -> min, max -> max. The shifted __d_/__d2_ partials were folded
@@ -528,11 +538,7 @@ def groupby_agg(
         return out
 
     mb = merge_welford if (moment_orders or cov_pairs) else merge_batch
-    if merge == "tree":
-        merged = tree_reduce(partial_ds, mb)
-    else:
-        merged = hash_partition_reduce(
-            partial_ds, global_key, mb, num_parts=shuffle_partitions * 32)
+    merged = tree_reduce(partial_ds, mb, keys)
 
     def finalize(t: pa.Table) -> pa.Table:
         cols = {}
@@ -632,25 +638,18 @@ def topk(ds, sort_cols: Sequence[tuple[str, bool]], k: int):
 # ---------------------------------------------------------------------------
 
 
-def distinct(ds, cols: Sequence[str], *, merge: str = "tree", num_parts: int | None = None):
+def distinct(ds, cols: Sequence[str]):
     """SELECT DISTINCT cols (SWQM_DISTINCT_LIST, ogr_swq.h:322): per-batch
-    distinct combiner, then a merge over the survivors.
-
-    merge="tree" (default): one final distinct task — valid while the true
-    distinct set fits one block. merge="hash": hash-partition survivors by
-    the key and deduplicate each partition independently (scale-safe for
-    distinct sets that don't fit one task)."""
+    distinct combiner, then tree_reduce keyed by cols over the survivors
+    (one final task up to TREE_MAX_BYTES of survivors, the hash exchange
+    past it). Runs the input up to the combiner when called."""
     cols = list(cols)
 
     def batch_distinct(t: pa.Table) -> pa.Table:
         return arrow_group_by(t.select(cols), cols)
 
     partial = ds.map_batches(batch_distinct, batch_format="pyarrow", batch_size=None)
-    if merge == "hash":
-        return hash_partition_reduce(partial, cols, batch_distinct, num_parts=num_parts)
-    return partial.repartition(1).map_batches(
-        batch_distinct, batch_format="pyarrow", batch_size=None
-    )
+    return tree_reduce(partial, batch_distinct, cols)
 
 
 def count_distinct(ds, col: str) -> int:
@@ -961,20 +960,16 @@ def explode_list(ds, list_col: str, *, value_name: str, pos_name: str, keep: Seq
 
 
 def first_by(ds, group_keys: Sequence[str], order_cols: Sequence[str],
-             *, merge: str = "tree", num_parts: int | None = None,
-             ascending: Sequence[bool] | None = None):
+             *, ascending: Sequence[bool] | None = None):
     """One row per group: the minimum row under (order_cols) ordering.
     order_cols must end with a unique tiebreaker for determinism.
     ascending (one flag per order col, default all True) flips individual
     order columns — the ARG_MAX direction. Two-level: per-batch winner,
-    then a winners-of-winners merge — the shuffle only moves one row per
-    (group, block).
-
-    merge="tree": final merge in ONE task — lowest latency, valid while the
-    winner set (== #distinct groups) fits one block. merge="hash": the
-    winners are hash-partitioned by group key and each partition picks its
-    winners independently — no single-task stage anywhere, the north-star
-    path for deduping 10^12 urls where #groups ~ #rows."""
+    then a winners-of-winners merge: tree_reduce keyed by group_keys (one
+    final task up to TREE_MAX_BYTES of winners, the hash exchange past it —
+    deduping 10^12 urls, where #groups ~ #rows, takes the exchange). Only
+    one row per (group, block) reaches the merge. Runs the input up to the
+    per-batch winners when called."""
     group_keys, order_cols = list(group_keys), list(order_cols)
     by = group_keys + order_cols
     asc = [True] * len(group_keys) + (
@@ -993,15 +988,12 @@ def first_by(ds, group_keys: Sequence[str], order_cols: Sequence[str],
         return t.take(pa.array(np.sort(first.to_numpy())))
 
     partial = ds.map_batches(winners, batch_format="pyarrow", batch_size=None)
-    if merge == "hash":
-        return hash_partition_reduce(partial, group_keys, winners, num_parts=num_parts)
-    reduced = partial.repartition(1)
-    return reduced.map_batches(winners, batch_format="pyarrow", batch_size=None)
+    return tree_reduce(partial, winners, group_keys)
 
 
 def groupby_arg_extreme(ds, keys: Sequence[str], val_col: str,
                         order_col: str, *, desc: bool = False,
-                        out: str | None = None, merge: str = "tree"):
+                        out: str | None = None):
     """SQL ARG_MAX / ARG_MIN (a.k.a. MAX_BY / MIN_BY): the val_col value
     at the per-key extreme of order_col. Rides the first_by winners
     machinery (per-batch winner, winners-of-winners merge — one row per
@@ -1018,7 +1010,7 @@ def groupby_arg_extreme(ds, keys: Sequence[str], val_col: str,
                          batch_format="pyarrow", batch_size=None)
     ocols = [order_col] if val_col == order_col else [order_col, val_col]
     asc = [not desc] + [True] * (len(ocols) - 1)
-    win = first_by(sel, keys, ocols, ascending=asc, merge=merge)
+    win = first_by(sel, keys, ocols, ascending=asc)
 
     def fin(t: pa.Table) -> pa.Table:
         return t.select(keys + [val_col]).rename_columns(keys + [out])
@@ -1026,8 +1018,7 @@ def groupby_arg_extreme(ds, keys: Sequence[str], val_col: str,
     return win.map_batches(fin, batch_format="pyarrow", batch_size=None)
 
 
-def groupby_mode(ds, keys: Sequence[str], col: str, *, out: str = "mode",
-                 merge: str = "tree"):
+def groupby_mode(ds, keys: Sequence[str], col: str, *, out: str = "mode"):
     """SQL MODE(col): the most frequent value per key; ties break toward
     the smallest value (deterministic — express the identical rule in an
     oracle as ROW_NUMBER() OVER (ORDER BY cnt DESC, value) = 1; DuckDB's
@@ -1035,10 +1026,8 @@ def groupby_mode(ds, keys: Sequence[str], col: str, *, out: str = "mode",
     the (keys, col) count via the combiner groupby_agg, then first_by
     winners over the counted rows."""
     keys = list(keys)
-    cnt = groupby_agg(ds, keys + [col], [("__cnt", "count_star", None)],
-                      merge=merge)
-    win = first_by(cnt, keys, ["__cnt", col], ascending=[False, True],
-                   merge=merge)
+    cnt = groupby_agg(ds, keys + [col], [("__cnt", "count_star", None)])
+    win = first_by(cnt, keys, ["__cnt", col], ascending=[False, True])
 
     def fin(t: pa.Table) -> pa.Table:
         return t.select(keys + [col]).rename_columns(keys + [out])
@@ -1047,7 +1036,7 @@ def groupby_mode(ds, keys: Sequence[str], col: str, *, out: str = "mode",
 
 
 def groupby_entropy(ds, keys: Sequence[str], col: str, *,
-                    out: str = "entropy", merge: str = "tree"):
+                    out: str = "entropy"):
     """DuckDB ENTROPY(col): Shannon entropy (base 2) of the VALUE
     DISTRIBUTION of col per key; nulls excluded; an all-null (or empty)
     group yields 0.0, not NULL. Two bounded aggregates: the (keys, col)
@@ -1055,8 +1044,7 @@ def groupby_entropy(ds, keys: Sequence[str], col: str, *,
     log2(N) - sum(c*log2 c)/N over the counted rows (null-col count rows
     contribute 0 but keep the key alive so all-null groups emit 0.0)."""
     keys = list(keys)
-    cnt = groupby_agg(ds, keys + [col], [("__cnt", "count_star", None)],
-                      merge=merge)
+    cnt = groupby_agg(ds, keys + [col], [("__cnt", "count_star", None)])
 
     def clog(t: pa.Table) -> pa.Table:
         c = pc.cast(t["__cnt"], pa.float64()).to_numpy(zero_copy_only=False)
@@ -1071,7 +1059,7 @@ def groupby_entropy(ds, keys: Sequence[str], col: str, *,
 
     part = cnt.map_batches(clog, batch_format="pyarrow", batch_size=None)
     agg = groupby_agg(part, keys, [("__n", "sum", "__c"),
-                                   ("__s", "sum", "__cl")], merge=merge)
+                                   ("__s", "sum", "__cl")])
 
     def fin(t: pa.Table) -> pa.Table:
         n = pc.cast(t["__n"], pa.float64()).to_numpy(zero_copy_only=False)

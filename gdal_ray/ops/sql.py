@@ -5803,7 +5803,7 @@ def _execute_core(q: Select, sf_dir: str, order_by, limit, offset):
     """Compile + run one SELECT core."""
     from gdal_ray.ops.relational import broadcast_join
     from gdal_ray.ops.relational import distinct as op_distinct
-    from gdal_ray.ops.relational import groupby_agg, topk
+    from gdal_ray.ops.relational import first_by, groupby_agg, topk
     from gdal_ray.util import read_table, read_table_with_fid
 
     q = Select(q.items, q.distinct, q.table, q.where, q.group_by,
@@ -6246,23 +6246,6 @@ def _execute_core(q: Select, sf_dir: str, order_by, limit, offset):
         if qt_specs and not (specs + hidden):
             hidden.append(("__qcnt", "count_star", None))
         out = groupby_agg(ds, q.group_by, specs + hidden)
-        if not q.group_by:
-            # global aggregate over zero rows must still yield ONE row
-            # (COUNT -> 0, other aggregates -> NULL), SQL semantics
-            import ray.data as _rd
-
-            from gdal_ray.util import to_arrow as _ta
-
-            tbl = _ta(out)
-            if tbl.num_rows == 0:
-                cols = {}
-                for nm_, kind, _c in specs + hidden:
-                    if kind in ("count_star", "count"):
-                        cols[nm_] = pa.array([0], pa.int64())
-                    else:
-                        cols[nm_] = pa.array([None], pa.float64())
-                tbl = pa.table(cols)
-            out = _rd.from_arrow(tbl)
         if qt_specs:
             out = _attach_quantiles(out, ds, q, qt_specs)
 
@@ -6321,15 +6304,34 @@ def _execute_core(q: Select, sf_dir: str, order_by, limit, offset):
                 raise ValueError("DISTINCT ON requires plain output-column "
                                  "ORDER BY")
             ds, keys_, drop_ = _order_keys(ds, q.order_by)
+            if q.distinct:
+                # DISTINCT first: its hash exchange would not keep the sort's
+                # order, and LIMIT counts distinct rows. Each distinct row
+                # carries its first source row's order keys as __ok columns
+                src = [c for c, _ in keys_]
+                keys_ = [(f"__ok{i}", d) for i, (_, d) in enumerate(keys_)]
+                names_ = _out_names(q)
+
+                def with_keys(t, p=project, hid=[h for h, _ in keys_]):
+                    out = p(t)
+                    for h, c in zip(hid, src):
+                        out = out.append_column(h, t[c])
+                    return out
+
+                ds = first_by(ds.map_batches(with_keys, batch_format="pyarrow",
+                                             batch_size=None), names_,
+                              [h for h, _ in keys_],
+                              ascending=[not d for _, d in keys_])
+
+                def project(t, names_=names_):
+                    return t.select(names_)
             if want is not None:
                 ds = topk(ds, keys_, want)
             else:
                 ds = ds.sort([c for c, _ in keys_],
                              descending=[d for _, d in keys_])
-            # hidden __ox columns drop in the projection below
+            # hidden __ox / __ok columns drop in the projection below
             out = ds.map_batches(project, batch_format="pyarrow", batch_size=None)
-            if q.distinct:
-                out = op_distinct(out, [c for c in _out_names(q)])
             if q.offset:
                 out = _apply_offset(out, q.offset)
             return out
@@ -6340,8 +6342,6 @@ def _execute_core(q: Select, sf_dir: str, order_by, limit, offset):
     if q.distinct_on:
         # DISTINCT ON (k): first row per key under the query's ORDER BY
         # (first_by winners: the shuffle moves one row per (key, block))
-        from gdal_ray.ops.relational import first_by
-
         names_ = _out_names(q)
         for c in q.distinct_on:
             if c not in names_:

@@ -11,11 +11,11 @@ Dataset plan: the per-doc stages fuse into one map chain, and the only
 wide ops are the dedup winner reduce and the optional budget shuffle —
 nothing corpus-sized ever reaches the driver.
 
-Scale notes (100 TB): dedup runs with merge='hash' over the full rows in
-ONE shuffle (winner-per-content-hash, no single-task merge, no
-broadcast); decontamination broadcasts only the benchmark gram set (test
-sets are small by contract); PII/quality/repetition are shuffle-free
-Arrow kernel maps."""
+Scale notes (100 TB): dedup runs over the full rows in ONE first_by
+(winner-per-content-hash, no broadcast, merged as `curate` states);
+decontamination broadcasts only the benchmark gram set (test sets are
+small by contract); PII/quality/repetition are shuffle-free Arrow kernel
+maps."""
 
 from __future__ import annotations
 
@@ -33,12 +33,13 @@ from gdal_ray.text.pii import redact_pii
 def curate(ds, *, id_col: str = "doc_id", text_col: str = "text",
            min_tokens: int = 5, min_alpha_ratio: float = 0.25,
            max_dup5: float = 0.5, bench=None, decontam_n: int = 5,
-           char_budget: float | None = None, budget_by: str = "source",
-           dedup_merge: str = "hash"):
+           char_budget: float | None = None, budget_by: str = "source"):
     """Returns the curated Dataset (surviving docs with scrubbed text and
     the per-doc signal columns). `bench` (optional) is the benchmark
     corpus for decontamination; `char_budget` (optional) caps each
-    `budget_by` key's running char total."""
+    `budget_by` key's running char total. The dedup's per-block winners
+    are computed when called; up to relational.TREE_MAX_BYTES of them merge
+    in one task, more through the hash exchange."""
     d = add_quality_metrics(ds, text_col=text_col)
     d = d.map_batches(LangId(text_col), batch_format="pyarrow",
                       batch_size=None)
@@ -54,13 +55,13 @@ def curate(ds, *, id_col: str = "doc_id", text_col: str = "text",
     d = d.map_batches(rule_filter, batch_format="pyarrow", batch_size=None)
     d = redact_pii(d, text_col=text_col, counts=False)
 
-    # dedup the FULL rows in one shuffle: fingerprint inline, then the
-    # hash-merged winner reduce keeps each content hash's min-id row with
-    # all signal columns attached. (exact_dedup + a semi-join back would
+    # dedup the FULL rows in one first_by: fingerprint inline, then the
+    # winner reduce keeps each content hash's min-id row with all signal
+    # columns attached. (exact_dedup + a semi-join back would
     # shuffle the full rows twice — measured 4.6s + 18s vs ~8s at 10^6
     # docs / 32 cpus.)
     d = add_fingerprint(d, text_col=text_col, out="__fp")
-    d = first_by(d, ["__fp"], [id_col], merge=dedup_merge)
+    d = first_by(d, ["__fp"], [id_col])
     d = d.map_batches(lambda t: t.drop_columns(["__fp"]),
                       batch_format="pyarrow", batch_size=None)
 

@@ -3748,7 +3748,7 @@ def q179_cross_grid(sf_dir):
 
 def q180_bpe_merges(sf_dir):
     """Distributed BPE tokenizer TRAINING (text/bpe.bpe_train): corpus
-    reduces once to a (word, count) vocabulary (one hash-merge shuffle —
+    reduces once to a (word, count) vocabulary (one groupby_agg merge —
     the text never moves again); each merge round is a vectorized
     adjacency kernel + combiner/tree-merge pair count + two-level top-1
     (ONE row to the driver), winner broadcast in the next map closure.
@@ -3758,7 +3758,7 @@ def q180_bpe_merges(sf_dir):
     from gdal_ray.text.bpe import bpe_train
 
     docs = read_table(sf_dir, "documents", columns=["text"])
-    return bpe_train(docs, num_merges=24, min_count=2, num_parts=8)
+    return bpe_train(docs, num_merges=24, min_count=2)
 
 
 def q181_bpe_encode(sf_dir):
@@ -3773,7 +3773,7 @@ def q181_bpe_encode(sf_dir):
     from gdal_ray.util import to_arrow
 
     docs = read_table(sf_dir, "documents", columns=["doc_id", "text"])
-    merges = bpe_train(docs, num_merges=24, min_count=2, num_parts=8)
+    merges = bpe_train(docs, num_merges=24, min_count=2)
     out = bpe_encode(docs, merges, concurrency=(1, 4))
 
     def finish(t):
@@ -3925,7 +3925,7 @@ ORDER BY d.doc_id
 def q185_bigram_lm(sf_dir):
     """Word-bigram LM quality scoring (text/ngramlm.bigram_lm_score):
     add-k self-scored corpus LM — adjacency extraction is a flat-index
-    numpy kernel, only (gram, count) pairs shuffle (hash merge), count
+    numpy kernel, only (gram, count) pairs reach the merge, count
     maps broadcast (ray.put, searchsorted lookup per batch), scoring is
     one more streaming pass. The oracle restates the same model with
     LEAD + grouped counts + LN (q97 precedent: libm ln agrees at these
@@ -3936,7 +3936,7 @@ def q185_bigram_lm(sf_dir):
     from gdal_ray.util import to_arrow
 
     docs = read_table(sf_dir, "documents", columns=["doc_id", "text"])
-    out = bigram_lm_score(docs, k=0.5, num_parts=8)
+    out = bigram_lm_score(docs, k=0.5)
 
     def finish(t):
         return pa.table({

@@ -774,14 +774,13 @@ def _pagerank_step(src_col: str = "src", dst_col: str = "dst",
 
 @step("bigram-lm")
 def _bigram_lm_step(text_col: str = "text", k=0.5,
-                    out: str = "bigram_logp", num_parts=16):
+                    out: str = "bigram_logp"):
     """Self-scored add-k word-bigram LM quality signal
     (text/ngramlm.bigram_lm_score)."""
     from gdal_ray.text.ngramlm import bigram_lm_score
 
     def run(ds):
-        return bigram_lm_score(ds, text_col=text_col, k=float(k), out=out,
-                               num_parts=int(num_parts))
+        return bigram_lm_score(ds, text_col=text_col, k=float(k), out=out)
 
     return run
 
@@ -820,8 +819,7 @@ def _quality_score_step(label_col: str = "label", text_col: str = "text",
 
 
 @step("bpe-train")
-def _bpe_train_step(text_col: str = "text", num_merges=50, min_count=2,
-                    num_parts=16):
+def _bpe_train_step(text_col: str = "text", num_merges=50, min_count=2):
     """Learn a BPE merge table from the corpus (text/bpe.bpe_train);
     the pipeline result is the ordered merge table."""
     import ray.data as rd
@@ -831,14 +829,14 @@ def _bpe_train_step(text_col: str = "text", num_merges=50, min_count=2,
     def run(ds):
         return rd.from_arrow(bpe_train(
             ds, text_col=text_col, num_merges=int(num_merges),
-            min_count=int(min_count), num_parts=int(num_parts)))
+            min_count=int(min_count)))
 
     return run
 
 
 @step("bpe-encode")
 def _bpe_encode_step(text_col: str = "text", out: str = "bpe_tokens",
-                     num_merges=50, min_count=2, num_parts=16):
+                     num_merges=50, min_count=2):
     """Train BPE merges on the input corpus, then encode it (actor-pool
     stage with a per-actor word cache; text/bpe.bpe_encode)."""
     from gdal_ray.text.bpe import bpe_encode, bpe_train
@@ -846,8 +844,7 @@ def _bpe_encode_step(text_col: str = "text", out: str = "bpe_tokens",
     def run(ds):
         merges = bpe_train(ds, text_col=text_col,
                            num_merges=int(num_merges),
-                           min_count=int(min_count),
-                           num_parts=int(num_parts))
+                           min_count=int(min_count))
         return bpe_encode(ds, merges, text_col=text_col, out=out)
 
     return run

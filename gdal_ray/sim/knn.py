@@ -31,10 +31,10 @@ def brute_force_topk(ds, queries: np.ndarray, query_ids: np.ndarray, k: int,
 
     Per-batch: one matmul (d x q) against the broadcast query matrix ->
     partial top-k per query -> rows (query_id, vec_id, score), at most q*k
-    per block; ops.relational.tree_reduce then merges them per query_id.
-    The partials are computed when this is called (tree_reduce materializes
-    them); more than TREE_WIDTH partial blocks are coalesced to TREE_WIDTH
-    first, so the final merge reads at most TREE_WIDTH*q*k rows.
+    per block; ops.relational.tree_reduce, keyed by query_id, then merges
+    them. The partials are computed when this is called (tree_reduce
+    materializes them); the final merge reads at most TREE_WIDTH blocks and
+    TREE_MAX_BYTES, and larger partial sets go through the hash exchange.
     """
     import ray
 
@@ -73,7 +73,8 @@ def brute_force_topk(ds, queries: np.ndarray, query_ids: np.ndarray, k: int,
 
     partials = ds.map_batches(partial, batch_format="pyarrow", batch_size=None)
     return tree_reduce(partials, head_k(
-        ["query_id"], [("score", "descending"), (id_col, "ascending")], k))
+        ["query_id"], [("score", "descending"), (id_col, "ascending")], k),
+        ["query_id"])
 
 
 def kmeans_centroids(X: np.ndarray, nlist: int, *, iters: int = 8, seed: int = 7) -> np.ndarray:
@@ -149,7 +150,8 @@ def ivf_topk(ds, queries: np.ndarray, query_ids: np.ndarray, k: int,
 
     partials = ds.map_batches(partial, batch_format="pyarrow", batch_size=None)
     return tree_reduce(partials, head_k(
-        ["query_id"], [("score", "descending"), (id_col, "ascending")], k))
+        ["query_id"], [("score", "descending"), (id_col, "ascending")], k),
+        ["query_id"])
 
 
 class HyperplaneLSH:
@@ -272,7 +274,7 @@ def pq_topk(ds, queries: np.ndarray, query_ids: np.ndarray, k: int,
     a driver-side sample and broadcast with the per-query ADC tables;
     each batch encodes its vectors once (m argmins) and scans with pure
     table-lookup sums (np.take + sum over m — no per-query matmul).
-    Same tree merge as brute_force_topk. Returns
+    Same merge as brute_force_topk. Returns
     (query_id, vec_id, dist) rows, smallest distance first."""
     import ray
 
@@ -309,4 +311,5 @@ def pq_topk(ds, queries: np.ndarray, query_ids: np.ndarray, k: int,
 
     partials = ds.map_batches(partial, batch_format="pyarrow", batch_size=None)
     return tree_reduce(partials, head_k(
-        ["query_id"], [("dist", "ascending"), ("vec_id", "ascending")], k))
+        ["query_id"], [("dist", "ascending"), ("vec_id", "ascending")], k),
+        ["query_id"])

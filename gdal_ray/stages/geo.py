@@ -130,9 +130,9 @@ def knn_points(ds, queries: pa.Table, k: int, *, id_col="id", lon_col="lon",
     """Streaming kNN: the query points are broadcast (small side), the point
     dataset streams through; each batch yields a partial top-k per query
     (at most q*k rows leave each block), computed when this is called, and
-    ops.relational.tree_reduce merges them per query: the final task reads
-    at most TREE_WIDTH*q*k rows. Returns (query_id, neighbor_id, dist,
-    rank)."""
+    ops.relational.tree_reduce merges them keyed by query_id (one final
+    task up to TREE_MAX_BYTES of partials, the hash exchange past it).
+    Returns (query_id, neighbor_id, dist, rank)."""
     import ray
 
     from gdal_ray.ops.relational import (head_k, segment_positions, sort_segments,
@@ -173,7 +173,7 @@ def knn_points(ds, queries: pa.Table, k: int, *, id_col="id", lon_col="lon",
         t, starts = sort_segments(t, ["query_id"], order)
         return t.append_column("rank", pa.array(segment_positions(starts, len(t)) + 1))
 
-    return tree_reduce(partials, head_k(["query_id"], order, k)) \
+    return tree_reduce(partials, head_k(["query_id"], order, k), ["query_id"]) \
         .map_batches(rank, batch_format="pyarrow", batch_size=None)
 
 

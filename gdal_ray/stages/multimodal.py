@@ -214,7 +214,7 @@ class ImageDHasher:
 def image_dedup_exact(ds, id_col: str, *, image_col: str = "image",
                       concurrency=(1, 4)):
     """Exact perceptual dedup: dHash signature -> first-per-hash winners
-    (hash-partitioned, same scale shape as text exact_dedup). Returns
+    (ops.relational.first_by, same merge rule as text exact_dedup). Returns
     (dhash, <id_col> survivors)."""
     from gdal_ray.ops.relational import first_by
 
@@ -224,4 +224,4 @@ def image_dedup_exact(ds, id_col: str, *, image_col: str = "image",
                             concurrency=concurrency)
     sel = hashed.map_batches(lambda t: t.select(["dhash", id_col]),
                              batch_format="pyarrow", batch_size=None)
-    return first_by(sel, ["dhash"], [id_col], merge="hash")
+    return first_by(sel, ["dhash"], [id_col])

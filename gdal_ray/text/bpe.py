@@ -4,9 +4,9 @@ The classic byte-pair-encoding trainer (Sennrich et al. 2016; the GPT-2
 tokenizer uses the same merge loop) re-expressed Ray-Data-first:
 
 - The corpus is reduced ONCE to a (word, count) vocabulary table — only
-  (word, partial-count) pairs shuffle (hash merge), the text never moves
-  again. Every subsequent iteration runs over the vocabulary, which is
-  orders of magnitude smaller than the corpus (the standard trick real
+  (word, partial-count) pairs reach the groupby_agg merge, the text never
+  moves again. Every subsequent iteration runs over the vocabulary, which
+  is orders of magnitude smaller than the corpus (the standard trick real
   tokenizer trainers use).
 - Symbols are int32 CODES into a driver-side string table (initial codes
   = sorted distinct codepoints; merge k adds one code), so every
@@ -45,9 +45,9 @@ __all__ = ["bpe_train", "bpe_encode", "BpeEncoder"]
 # ---------------------------------------------------------------------------
 
 
-def _word_counts(ds, text_col: str, num_parts: int):
+def _word_counts(ds, text_col: str):
     """(word, cnt) vocabulary Dataset: whitespace split fan-out per batch,
-    per-batch partial counts, ONE hash-merge shuffle of (word, count)."""
+    per-batch partial counts, one groupby_agg merge of (word, count)."""
     from gdal_ray.ops.relational import arrow_group_by, groupby_agg
 
     def split(t: pa.Table) -> pa.Table:
@@ -59,8 +59,7 @@ def _word_counts(ds, text_col: str, num_parts: int):
             ["word", "cnt"])
 
     parts = ds.map_batches(split, batch_format="pyarrow", batch_size=None)
-    return groupby_agg(parts, ["word"], [("cnt", "sum", "cnt")],
-                       merge="hash", shuffle_partitions=num_parts)
+    return groupby_agg(parts, ["word"], [("cnt", "sum", "cnt")])
 
 
 # ---------------------------------------------------------------------------
@@ -180,7 +179,7 @@ def _rebuild(t: pa.Table, flat: np.ndarray, offsets: np.ndarray) -> pa.Table:
 
 
 def bpe_train(ds, text_col: str = "text", num_merges: int = 50,
-              min_count: int = 2, num_parts: int = 16) -> pa.Table:
+              min_count: int = 2) -> pa.Table:
     """Learn `num_merges` BPE merges from the corpus. Returns the ordered
     merge table (rank, left, right, merged, pair_count) — deterministic
     for a fixed corpus (argmax ties break by (left, right) ascending),
@@ -189,8 +188,13 @@ def bpe_train(ds, text_col: str = "text", num_merges: int = 50,
     import ray.data as rd
 
     from gdal_ray.ops.relational import groupby_agg, topk
+    from gdal_ray.util import default_num_parts
 
-    words = _word_counts(ds, text_col, num_parts)
+    # the tree merge returns one block: split it (2x CPUs, no empty block)
+    # so every round's pair count and merge kernel run cluster-wide
+    words = _word_counts(ds, text_col).materialize()
+    words = words.repartition(
+        max(1, min(words.count(), default_num_parts(floor=16))))
     words = rd.from_arrow_refs(words.materialize().to_arrow_refs())
     alpha = _alphabet(words)
     if alpha.size >= (1 << _PAIR_SHIFT) - num_merges:

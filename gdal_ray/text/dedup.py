@@ -290,14 +290,14 @@ def _bucket_pairs_partition(t: pa.Table, id_col: str, pair_cap: int) -> pa.Table
 
 
 def minhash_candidate_pairs(ds, id_col: str, *, pair_cap: int = 256,
-                            merge: str = "tree", num_parts: int | None = None,
-                            **kw):
+                            num_parts: int | None = None, **kw):
     """LSH candidate pairs (id_a < id_b), distinct. The wide step is ONE
     hash-partitioned shuffle of fixed-width (band_id, band_hash, id)
     triples at cluster-native parallelism (no fixed repartition); each
     partition's buckets are paired vectorized (see _bucket_pairs_partition;
-    mega-buckets are salted, never silently dropped). merge='hash' is the
-    at-scale mode for the final pair distinct."""
+    mega-buckets are salted, never silently dropped). Runs the pairing when
+    called; the pair distinct merges up to relational.TREE_MAX_BYTES of
+    per-block survivors in one task, more through the hash exchange."""
     from gdal_ray.ops.relational import hash_partition_reduce
 
     banded = minhash_bands(ds, id_col, **kw)
@@ -306,7 +306,7 @@ def minhash_candidate_pairs(ds, id_col: str, *, pair_cap: int = 256,
         lambda t: _bucket_pairs_partition(t, id_col, pair_cap),
         num_parts=num_parts,
     )
-    return distinct(cand, ["id_a", "id_b"], merge=merge)
+    return distinct(cand, ["id_a", "id_b"])
 
 
 _EMPTY_PAIRS = pa.table({"id_a": pa.array([], pa.int64()),
@@ -500,13 +500,13 @@ class SimHasher:
         return t.append_column("simhash", pa.array(out))
 
 
-def exact_dedup(ds, id_col: str, text_col: str = "text", *, merge: str = "tree"):
+def exact_dedup(ds, id_col: str, text_col: str = "text"):
     """Exact dedup by content hash: md5 fingerprint -> first-per-group
     (min id wins). Returns (fp, doc_id survivors).
 
-    merge="hash" is the at-scale mode: winners are hash-partitioned by
-    fingerprint so no single task ever sees the whole survivor set (at
-    north-star scale #distinct fingerprints ~ #docs)."""
+    Fingerprints the input when called. Up to relational.TREE_MAX_BYTES of
+    per-block winners merge in one task; more (#fingerprints ~ #docs at
+    north-star scale) are hash-partitioned by fingerprint."""
     fp_ds = add_fingerprint(ds, text_col=text_col, out="fp")
     fp_ds = fp_ds.select_columns(["fp", id_col])
-    return first_by(fp_ds, ["fp"], [id_col], merge=merge)
+    return first_by(fp_ds, ["fp"], [id_col])

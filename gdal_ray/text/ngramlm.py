@@ -10,8 +10,8 @@ Ray-Data-first shape:
 - ONE pass extracts (w, next) adjacencies per batch (flat-index numpy
   kernel, same as text/packing) with per-batch partial counts, so only
   (gram, count) pairs shuffle — never the text.
-- Unigram/bigram count tables reduce via the combiner tree merge; V is a
-  distinct count. Model tables broadcast when dimension-sized (ray.put,
+- Unigram/bigram count tables reduce via the combiner + groupby_agg
+  merge; V is a distinct count. Model tables broadcast when dimension-sized (ray.put,
   read once per task) and fall back to the co-partitioned join beyond
   the broadcast bound — the same 4M-row switch the SQL planner uses.
 - Scoring is one more pass over the corpus: per-batch lookup of the
@@ -56,8 +56,7 @@ def _adjacencies(t: pa.Table, text_col: str, id_col):
 
 
 def bigram_lm_score(ds, text_col: str = "text", id_col: str = "doc_id",
-                    k: float = 0.5, out: str = "bigram_logp",
-                    num_parts: int = 16):
+                    k: float = 0.5, out: str = "bigram_logp"):
     """Adds `out`: the per-document mean ln p(next|w) under the add-k
     bigram model trained on the SAME corpus (self-scoring, the usual
     quality-signal setup), and `{out}_n_bigrams`. Documents with no
@@ -87,12 +86,10 @@ def bigram_lm_score(ds, text_col: str = "text", id_col: str = "doc_id",
 
     uni = to_arrow(groupby_agg(
         ds.map_batches(uni_part, batch_format="pyarrow", batch_size=None),
-        ["g"], [("c", "sum", "c")], merge="hash",
-        shuffle_partitions=num_parts))
+        ["g"], [("c", "sum", "c")]))
     bi = to_arrow(groupby_agg(
         ds.map_batches(bi_part, batch_format="pyarrow", batch_size=None),
-        ["g"], [("c", "sum", "c")], merge="hash",
-        shuffle_partitions=num_parts))
+        ["g"], [("c", "sum", "c")]))
     if len(uni) > _BROADCAST_MAX or len(bi) > _BROADCAST_MAX:
         raise NotImplementedError(
             "vocabulary beyond the broadcast bound: route the scoring "

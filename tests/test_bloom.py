@@ -79,3 +79,18 @@ def test_bloom_semi_join_exact(ray_session, sf_dir, anti):
     want = to_arrow(semi_join_hash(L, R, ["o_custkey"], anti=anti)) \
         .to_pandas().sort_values(["o_orderkey"]).reset_index(drop=True)
     assert got.equals(want)
+
+
+def test_bloom_over_an_empty_dataset(ray_session):
+    """An empty build side gives an all-zero bitset, so a semi join against
+    it keeps no row and an anti join keeps every row."""
+    t = pa.table({"key": np.arange(10, dtype=np.int64)})
+    empty = rd.from_arrow(t).filter(expr="key > 100")
+    bits = bloom_build(empty, "key", num_bits=1 << 12, k=4)
+    assert bits.shape == (64,) and not bits.any()
+    left = rd.from_arrow(t)
+    assert to_arrow(bloom_semi_join(left, empty, ["key"],
+                                    num_bits=1 << 12)).num_rows == 0
+    anti = to_arrow(bloom_semi_join(left, empty, ["key"], anti=True,
+                                    num_bits=1 << 12))
+    assert sorted(anti["key"].to_pylist()) == list(range(10))

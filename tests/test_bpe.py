@@ -14,6 +14,7 @@ import pyarrow as pa
 import pytest
 import ray.data as rd
 
+from gdal_ray.ops import relational as R
 from gdal_ray.text.bpe import (BpeEncoder, _encode_word, _merge_pair_kernel,
                                bpe_encode, bpe_train)
 from gdal_ray.util import to_arrow
@@ -68,9 +69,13 @@ def _word_counts(texts):
 
 
 @pytest.mark.parametrize("num_parts", [1, 4])
-def test_bpe_train_matches_reference(ray_session, num_parts):
+def test_bpe_train_matches_reference(ray_session, num_parts, monkeypatch):
+    # the word count merges through the hash exchange (a merge bound of 0
+    # bytes) into num_parts partitions
+    monkeypatch.setattr(R, "TREE_MAX_BYTES", 0)
+    monkeypatch.setattr(R, "default_num_parts", lambda **_: num_parts)
     ds = rd.from_arrow(pa.table({"text": CORPUS})).repartition(3)
-    got = bpe_train(ds, num_merges=12, min_count=2, num_parts=num_parts)
+    got = bpe_train(ds, num_merges=12, min_count=2)
     exp, _ = ref_bpe_train(_word_counts(CORPUS), 12, 2)
     assert len(got) == len(exp)
     for i, (l, r, m, cnt) in enumerate(exp):
@@ -111,7 +116,7 @@ def test_encode_word_matches_sequential_merges():
 def test_bpe_encode_stage(ray_session):
     ds = rd.from_arrow(pa.table({"doc_id": list(range(len(CORPUS))),
                                  "text": CORPUS})).repartition(2)
-    merges = bpe_train(ds, num_merges=12, min_count=2, num_parts=2)
+    merges = bpe_train(ds, num_merges=12, min_count=2)
     out = to_arrow(bpe_encode(ds, merges, concurrency=(1, 2)))
     out = out.take(pa.compute.sort_indices(out["doc_id"]))
     _, vocab = ref_bpe_train(_word_counts(CORPUS), 12, 2)

@@ -345,3 +345,29 @@ def test_cc_checkpoint_resume(ray_session, tmp_path):
     b = clean.to_pandas().sort_values("node").reset_index(drop=True)
     assert a.equals(b)
     assert (a["component"] == 0).all()  # one chain, min id 0
+
+
+def test_graph_inputs_from_a_hash_exchange(ray_session, monkeypatch):
+    """Edges that come out of a keyed merge on the hash exchange, whose
+    empty partitions are zero-column blocks: connected components and BFS
+    still match the single-process answers."""
+    import ray
+
+    from gdal_ray.ops import relational as R
+    from gdal_ray.ops.graph import bfs_shortest_paths
+
+    monkeypatch.setattr(R, "TREE_MAX_BYTES", 0)
+    pairs = [(a, b) for a in range(0, 5) for b in range(a + 1, 5)] \
+        + [(10, 11), (11, 12), (200, 201)]
+    t = pa.table({"id_a": pa.array([a for a, _ in pairs] * 2, pa.int64()),
+                  "id_b": pa.array([b for _, b in pairs] * 2, pa.int64())})
+    ds = R.distinct(rd.from_arrow([t.slice(i, 2) for i in range(0, len(t), 2)]),
+                    ["id_a", "id_b"]).materialize()
+    assert any(b.num_columns == 0 for b in ray.get(ds.to_arrow_refs()))
+    got = to_arrow(connected_components(ds, num_parts=8)).to_pandas()
+    nodes = sorted({a for a, _ in pairs} | {b for _, b in pairs})
+    assert dict(zip(got["node"], got["component"])) == _uf_reference(pairs, nodes)
+    edges = ds.map_batches(lambda t: t.rename_columns(["src", "dst"]),
+                           batch_format="pyarrow", batch_size=None)
+    out = bfs_shortest_paths(edges, [10], max_depth=5).to_pandas()
+    assert dict(zip(out.node, out.dist)) == {10: 0, 11: 1, 12: 2}

@@ -109,16 +109,18 @@ def test_anti_join_hash_layout_invariant(ray_session, layout, num_parts):
 @pytest.mark.parametrize("num_parts", PARTS)
 @pytest.mark.parametrize("layout", LAYOUTS)
 def test_first_by_and_distinct_hash_layout_invariant(ray_session, layout,
-                                                     num_parts):
-    # every key appears in both blocks
+                                                     num_parts, monkeypatch):
+    # every key appears in both blocks; a bound of 0 sends the partials
+    # through the hash exchange, cut into num_parts partitions
+    monkeypatch.setattr(R, "TREE_MAX_BYTES", 0)
+    monkeypatch.setattr(R, "default_num_parts", lambda **_: num_parts)
     blocks = _left_blocks(layout, np.arange(100) % 50)
     ds = rd.from_arrow(blocks)
     whole = pa.concat_tables(blocks)
-    got = _collect(R.first_by(ds, ["k"], ["lv"], merge="hash",
-                              num_parts=num_parts))
+    got = _collect(R.first_by(ds, ["k"], ["lv"]))
     exp = _duck("SELECT k, min(lv) AS lv FROM l GROUP BY k", l=whole)
     assert _rows(got) == exp
-    got = _collect(R.distinct(ds, ["k"], merge="hash", num_parts=num_parts))
+    got = _collect(R.distinct(ds, ["k"]))
     assert _rows(got) == _duck("SELECT DISTINCT k FROM l", l=whole)
 
 
@@ -176,17 +178,12 @@ def test_distinct_string_key_beside_null_key(ray_session):
 
 def test_q160_values_join_with_hash_merge(ray_session, sf_dir, monkeypatch):
     """The oracle query q160 (a string key beside an int key, both with
-    nulls) at sf0.01 with every GROUP BY merged through the hash
-    exchange."""
+    nulls) at sf0.01 with every keyed merge sent through the hash exchange
+    (a merge bound of 0 bytes)."""
     from gdal_ray.pipelines.queries import registry
 
     sf_dir = os.path.join(os.path.dirname(sf_dir), "sf0.01")
-    orig = R.groupby_agg
-
-    def hash_merge(*args, **kw):
-        return orig(*args, **{**kw, "merge": "hash"})
-
-    monkeypatch.setattr(R, "groupby_agg", hash_merge)
+    monkeypatch.setattr(R, "TREE_MAX_BYTES", 0)
     qs, sqls = registry()
     got = to_arrow(qs["q160_values_join"](sf_dir))
     con = duckdb.connect()

@@ -22,6 +22,13 @@ def _sorted_df(t, by):
     return t.to_pandas().sort_values(by).reset_index(drop=True)
 
 
+# The two merges that relational.tree_reduce picks between for keyed
+# partials: the default bound keeps these small inputs on the one-task tree,
+# and a bound of 0 sends every non-empty partial set through the hash
+# exchange.
+MERGE_BOUNDS = {"tree": R.TREE_MAX_BYTES, "hash": 0}
+
+
 def test_groupby_agg(sf_dir, con):
     ds = read_table(sf_dir, "lineitem", columns=["l_returnflag", "l_quantity", "l_extendedprice"])
     out = R.groupby_agg(
@@ -92,7 +99,7 @@ def test_distinct_and_count_distinct(sf_dir, con):
 
 
 @pytest.mark.parametrize("layout", ["one_block", "two_blocks"])
-def test_signed_zero_float_keys_group_as_one(layout):
+def test_signed_zero_float_keys_group_as_one(layout, monkeypatch):
     """-0.0 and 0.0 are one group, as in DuckDB's GROUP BY / DISTINCT."""
     import pyarrow as pa
     import ray.data as rd
@@ -119,12 +126,14 @@ def test_signed_zero_float_keys_group_as_one(layout):
     for keys in (["x"], ["y"], ["x", "s"], ["x", "y", "s"]):
         k = ", ".join(keys)
         exp = expect(f"SELECT {k}, COUNT(*) AS n FROM t GROUP BY {k}", keys + ["n"])
-        for merge in ("tree", "hash"):
-            got = to_arrow(R.groupby_agg(ds, keys, [("n", "count_star", None)], merge=merge))
+        for merge, bound in MERGE_BOUNDS.items():
+            monkeypatch.setattr(R, "TREE_MAX_BYTES", bound)
+            got = to_arrow(R.groupby_agg(ds, keys, [("n", "count_star", None)]))
             assert rows(got, keys + ["n"]) == exp, (keys, merge)
         exp = expect(f"SELECT DISTINCT {k} FROM t", keys)
-        for merge in ("tree", "hash"):
-            assert rows(to_arrow(R.distinct(ds, keys, merge=merge)), keys) == exp, (keys, merge)
+        for merge, bound in MERGE_BOUNDS.items():
+            monkeypatch.setattr(R, "TREE_MAX_BYTES", bound)
+            assert rows(to_arrow(R.distinct(ds, keys)), keys) == exp, (keys, merge)
 
 
 def test_signed_zero_and_nan_float_keys_match_as_in_sql():
@@ -239,33 +248,35 @@ def test_first_by(sf_dir, con):
     assert got["event_id"].tolist() == exp["event_id"].tolist()
 
 
-def test_first_by_hash_merge_matches_tree(sf_dir):
+def test_first_by_hash_merge_matches_tree(sf_dir, monkeypatch):
     ds = read_table(sf_dir, "events", columns=["event_id", "user_id", "ts"])
     tree = _sorted_df(to_arrow(R.first_by(ds, ["user_id"], ["ts", "event_id"])), "user_id")
+    monkeypatch.setattr(R, "TREE_MAX_BYTES", 0)
+    monkeypatch.setattr(R, "default_num_parts", lambda **_: 7)
     hashed = _sorted_df(
-        to_arrow(R.first_by(ds, ["user_id"], ["ts", "event_id"], merge="hash", num_parts=7)),
-        "user_id",
-    )
+        to_arrow(R.first_by(ds, ["user_id"], ["ts", "event_id"])), "user_id")
     assert tree["event_id"].tolist() == hashed["event_id"].tolist()
     assert tree["user_id"].tolist() == hashed["user_id"].tolist()
 
 
-def test_distinct_hash_merge_matches_tree(sf_dir):
+def test_distinct_hash_merge_matches_tree(sf_dir, monkeypatch):
     ds = read_table(sf_dir, "lineitem", columns=["l_returnflag", "l_linestatus"])
     tree = to_arrow(R.distinct(ds, ["l_returnflag", "l_linestatus"])).to_pandas()
+    monkeypatch.setattr(R, "TREE_MAX_BYTES", 0)
+    monkeypatch.setattr(R, "default_num_parts", lambda **_: 5)
     hashed = to_arrow(
-        R.distinct(ds, ["l_returnflag", "l_linestatus"], merge="hash", num_parts=5)
-    ).to_pandas()
+        R.distinct(ds, ["l_returnflag", "l_linestatus"])).to_pandas()
     key = lambda df: sorted(map(tuple, df.to_numpy().tolist()))
     assert key(tree) == key(hashed)
 
 
-def test_groupby_agg_hash_merge(sf_dir, con):
+def test_groupby_agg_hash_merge(sf_dir, con, monkeypatch):
     ds = read_table(sf_dir, "lineitem", columns=["l_returnflag", "l_quantity"])
+    monkeypatch.setattr(R, "TREE_MAX_BYTES", 0)
     out = R.groupby_agg(
         ds, ["l_returnflag"],
         [("sum_qty", "sum", "l_quantity"), ("n", "count_star", None)],
-        round_to={"sum_qty": 4}, merge="hash",
+        round_to={"sum_qty": 4},
     )
     got = _sorted_df(to_arrow(out), "l_returnflag")
     exp = con.execute(
@@ -277,13 +288,7 @@ def test_groupby_agg_hash_merge(sf_dir, con):
     assert got["n"].tolist() == exp["n"].tolist()
 
 
-def test_groupby_agg_unknown_merge_raises():
-    # the merge mode is checked before the input is touched
-    with pytest.raises(ValueError, match="merge"):
-        R.groupby_agg(None, ["k"], [("n", "count_star", None)], merge="shuffle")
-
-
-def test_std_large_mean_welford():
+def test_std_large_mean_welford(monkeypatch):
     """mean ~ 1e9, std ~ 1: the naive E[x^2]-E[x]^2 formula cancels
     catastrophically (double has ~1e-16 relative precision; x^2 ~ 1e18
     swallows a variance of 1). The Welford partial merge must hold <1e-6
@@ -303,9 +308,10 @@ def test_std_large_mean_welford():
         for i in range(0, n, 1000)
     ]
     ds = rd.from_arrow(tables)
-    for merge in ("tree", "hash"):
+    for merge, bound in MERGE_BOUNDS.items():
+        monkeypatch.setattr(R, "TREE_MAX_BYTES", bound)
         out = to_arrow(R.groupby_agg(
-            ds, ["g"], [("sd", "std", "x"), ("mu", "mean", "x")], merge=merge,
+            ds, ["g"], [("sd", "std", "x"), ("mu", "mean", "x")],
         )).to_pandas().sort_values("g").reset_index(drop=True)
         for g in range(3):
             ref_sd = np.std(x[grp == g], ddof=1)
@@ -835,7 +841,7 @@ def test_asof_join_keyless_range_partitioned():
         assert (gv[~miss].astype(np.int64) == ev[~emiss].astype(np.int64)).all()
 
 
-def test_moment_product_any_aggs_vs_duckdb(sf_dir, con):
+def test_moment_product_any_aggs_vs_duckdb(sf_dir, con, monkeypatch):
     """skew/kurt/kurt_pop/product/any on the shift-stable central-moment
     partials: exact 4-digit parity with DuckDB on both merge modes (our
     grouped merge is ulp-accurate; DuckDB's raw power sums only drift on
@@ -850,8 +856,10 @@ def test_moment_product_any_aggs_vs_duckdb(sf_dir, con):
                   any_value(l_returnflag) av
            from lineitem group by 1 order by 1"""
     ).df()
-    for merge in ("tree", "hash"):
+    for merge, bound in MERGE_BOUNDS.items():
         import pyarrow as pa
+
+        monkeypatch.setattr(R, "TREE_MAX_BYTES", bound)
 
         def add_disc(t: pa.Table) -> pa.Table:
             return t.append_column(
@@ -868,7 +876,6 @@ def test_moment_product_any_aggs_vs_duckdb(sf_dir, con):
              ("pr", "product", "__disc1"),
              ("av", "any", "l_returnflag")],
             round_to={"sk": 4, "ku": 4, "kp": 4, "pr": 4},
-            merge=merge,
         )
         got = _sorted_df(to_arrow(out), "l_returnflag")
         for c in ("sk", "ku", "kp", "pr"):
@@ -905,7 +912,7 @@ def test_moment_aggs_small_group_nulls():
         assert (both_null | np.isclose(a, b, rtol=1e-12, equal_nan=False)).all(), c
 
 
-def test_cov_kinds_vs_duckdb_edges(ray_session):
+def test_cov_kinds_vs_duckdb_edges(ray_session, monkeypatch):
     """cov_samp/cov_pop/cov_sum (pairwise-null masked co-moments):
     DuckDB edge parity — single pair (samp NULL, pop 0.0), empty after
     mask (all NULL), constant columns (0.0)."""
@@ -919,13 +926,13 @@ def test_cov_kinds_vs_duckdb_edges(ray_session):
         "x": [1., 1., 1., 1., 2., 3., 1., 1., 2., np.nan, 2.],
         "y": [2., 4., 8., 5., 5., 5., 2., 1., np.nan, 3., np.nan],
     })
-    for merge in ("tree", "hash"):
+    for merge, bound in MERGE_BOUNDS.items():
+        monkeypatch.setattr(R, "TREE_MAX_BYTES", bound)
         out = R.groupby_agg(
             rd.from_pandas(tt).repartition(3), ["k"],
             [("cs", "cov_samp", ("y", "x")),
              ("cp", "cov_pop", ("y", "x")),
              ("c2", "cov_sum", ("y", "x"))],
-            merge=merge,
         ).to_pandas().sort_values("k").reset_index(drop=True)
         exp = duckdb.connect().execute(
             """select k, covar_samp(y,x) cs, covar_pop(y,x) cp,
@@ -961,7 +968,7 @@ def test_cov_merge_accuracy_large_mean(ray_session):
         assert abs(out.cs[i] - ref) < 5e-9 * abs(ref), (kk, out.cs[i], ref)
 
 
-def test_groupby_entropy_vs_duckdb(sf_dir, con):
+def test_groupby_entropy_vs_duckdb(sf_dir, con, monkeypatch):
     """ENTROPY: distribution entropy per key, base 2; all-null group ->
     0.0; both merge modes."""
     import numpy as np
@@ -979,9 +986,9 @@ def test_groupby_entropy_vs_duckdb(sf_dir, con):
             "ug", pc_.cast(pc_.bit_wise_and(t["user_id"], 3), pa.int64()))
 
     dsu = ds.map_batches(add_ug, batch_format="pyarrow", batch_size=None)
-    for merge in ("tree", "hash"):
-        got = (R.groupby_entropy(dsu, ["ug"], "event_type", out="e",
-                                 merge=merge)
+    for merge, bound in MERGE_BOUNDS.items():
+        monkeypatch.setattr(R, "TREE_MAX_BYTES", bound)
+        got = (R.groupby_entropy(dsu, ["ug"], "event_type", out="e")
                .to_pandas().sort_values("ug").reset_index(drop=True))
         assert np.allclose(got.e.to_numpy(), exp.e.to_numpy(), rtol=1e-12), merge
 

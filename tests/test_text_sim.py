@@ -698,7 +698,7 @@ def test_bigram_lm_brute(ray_session):
     texts = ["a b a b c", "b c b c a a", "c a b", "x", "a a a a"]
     ds = rd.from_arrow(pa.table({"doc_id": list(range(len(texts))),
                                  "text": texts})).repartition(2)
-    out = to_arrow(bigram_lm_score(ds, k=0.5, num_parts=2))
+    out = to_arrow(bigram_lm_score(ds, k=0.5))
     out = out.take(pa.compute.sort_indices(out["doc_id"]))
 
     uni, bi = Counter(), Counter()

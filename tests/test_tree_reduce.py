@@ -1,9 +1,11 @@
-"""ops.relational.tree_reduce coalesces or skips, never splits.
+"""ops.relational.tree_reduce: one merge rule for partials.
 
-More partial blocks than TREE_WIDTH are first merged in TREE_WIDTH runs of
-adjacent blocks; fewer go straight to the one final merge. Both branches
-must give DuckDB's answer, and a small partial set must not be fanned out
-into Ray's zero-column padding blocks.
+Keyed partials past TREE_MAX_BYTES go through the hash exchange; every other
+merge is a tree that coalesces or skips, never splits. More partial blocks
+than TREE_WIDTH are first merged in TREE_WIDTH runs of adjacent blocks;
+fewer go straight to the one final merge. Every branch must give DuckDB's
+answer, and a small partial set must not be fanned out into Ray's
+zero-column padding blocks.
 """
 
 import logging
@@ -138,3 +140,125 @@ def test_small_partial_set_is_not_padded(ray_session):
     assert agg.sort_by("k").to_pylist() == [{"k": 1, "s": 8.0}, {"k": 2, "s": 4.0}]
     assert top.to_pylist() == [{"k": 1, "v": 5.0}]
     assert not [ln for ln in handler.lines if "different schema" in ln], handler.lines
+
+
+def _spy_hash(monkeypatch) -> list:
+    """Record every call tree_reduce makes to hash_partition_reduce (the
+    keys it passed); the call itself still runs."""
+    calls, real = [], R.hash_partition_reduce
+
+    def spy(ds, keys, fn, **kw):
+        calls.append(list(keys))
+        return real(ds, keys, fn, **kw)
+
+    monkeypatch.setattr(R, "hash_partition_reduce", spy)
+    return calls
+
+
+def test_merge_rule_tree_at_the_bound_hash_above(ray_session, monkeypatch):
+    """Keyed partials of exactly TREE_MAX_BYTES take the tree; one byte
+    more takes the hash exchange. An unkeyed merge always takes the tree."""
+    hashed = _spy_hash(monkeypatch)
+    blocks = _blocks(3)
+    ds = rd.from_arrow(blocks)
+    size = ds.materialize().size_bytes()
+    merge = R.head_k(["k"], [("id", "ascending")], 2)
+    exp = _duck("SELECT k, id FROM (SELECT k, id, row_number() OVER "
+                "(PARTITION BY k ORDER BY id) AS rn FROM t) WHERE rn <= 2 "
+                "ORDER BY k, id", t=pa.concat_tables(blocks))
+    for bound, calls in ((size, []), (size - 1, [["k"]])):
+        monkeypatch.setattr(R, "TREE_MAX_BYTES", bound)
+        hashed.clear()
+        out = R.tree_reduce(ds, merge, ["k"])
+        assert hashed == calls, bound
+        assert _levels(out) == (0 if calls else 1), bound
+        got = to_arrow(out).select(["k", "id"]).sort_by(
+            [("k", "ascending"), ("id", "ascending")]).to_pylist()
+        assert got == exp, bound
+    monkeypatch.setattr(R, "TREE_MAX_BYTES", 0)
+    hashed.clear()
+    top = R.topk(ds, [("v", True), ("id", False)], 5)
+    assert not hashed and _levels(top) == 1
+
+
+@pytest.mark.parametrize("layout", LAYOUTS)
+def test_distinct_and_first_by_tree(ray_session, layout, monkeypatch):
+    """distinct and first_by merge through tree_reduce: a coalescing level
+    over 40 partial blocks, the final merge alone over 3; never a bare
+    repartition(1) over every partial block."""
+    hashed = _spy_hash(monkeypatch)
+    blocks = _blocks(LAYOUTS[layout])
+    whole = pa.concat_tables(blocks)
+    levels = 2 if layout == "many" else 1
+    out = R.distinct(rd.from_arrow(blocks), ["k"])
+    assert _levels(out) == levels and not hashed
+    assert to_arrow(out).sort_by("k").to_pylist() == _duck(
+        "SELECT DISTINCT k FROM t ORDER BY k", t=whole)
+    out = R.first_by(rd.from_arrow(blocks), ["k"], ["v", "id"],
+                     ascending=[False, True])
+    assert _levels(out) == levels and not hashed
+    got = to_arrow(out).select(["k", "id", "v"]).sort_by("k").to_pylist()
+    exp = _duck("SELECT k, id, v FROM (SELECT k, id, v, row_number() OVER "
+                "(PARTITION BY k ORDER BY v DESC, id) AS rn FROM t) "
+                "WHERE rn = 1 ORDER BY k", t=whole)
+    _same(got, exp)
+
+
+def test_global_aggregate_over_no_rows_is_one_row(ray_session, sf_dir):
+    """keys=[] over an empty input gives SQL's one identity row: counts 0,
+    every other aggregate NULL (float64). The SQL path gives the same row."""
+    from gdal_ray.ops.sql import execute
+    from gdal_ray.util import sf_path
+
+    t = pa.table({"key": np.arange(10, dtype=np.int64),
+                  "v": np.arange(10, dtype=np.float64)})
+    empty = rd.from_arrow(t).filter(expr="key > 100")
+    got = to_arrow(R.groupby_agg(
+        empty, [], [("n", "count_star", None), ("s", "sum", "v")]))
+    exp = _duck("SELECT count(*) AS n, sum(v) AS s FROM t WHERE key > 100", t=t)
+    assert got.to_pylist() == exp == [{"n": 0, "s": None}]
+    assert got.schema.types == [pa.int64(), pa.float64()]
+
+    sql = ("SELECT COUNT(*) AS n, SUM(o_totalprice) AS s FROM orders "
+           "WHERE o_orderkey < 0")
+    got = to_arrow(execute(sql, sf_dir))
+    con = duckdb.connect()
+    con.execute("CREATE VIEW orders AS SELECT * FROM "
+                f"read_parquet('{sf_path(sf_dir, 'orders')}')")
+    assert got.to_pylist() == con.execute(sql).arrow().to_pylist() \
+        == [{"n": 0, "s": None}]
+    assert got.schema.types == [pa.int64(), pa.float64()]
+
+
+_DISTINCT_ORDERS = {
+    # the order key is a function of the output: DuckDB's order exactly
+    "expr": ("SELECT DISTINCT o_orderpriority, o_orderstatus FROM orders "
+             "ORDER BY lower(o_orderpriority) DESC, o_orderstatus", None),
+    # the order key is a source column the output drops: each distinct row
+    # sits at its first source row, once (DuckDB leaves which row open)
+    "source": ("SELECT DISTINCT o_orderpriority FROM orders "
+               "ORDER BY o_orderkey",
+               "SELECT o_orderpriority FROM orders GROUP BY 1 "
+               "ORDER BY min(o_orderkey)"),
+}
+
+
+@pytest.mark.parametrize("tail", ["", "LIMIT 100 OFFSET 2", "LIMIT 4 OFFSET 3"])
+@pytest.mark.parametrize("order", list(_DISTINCT_ORDERS))
+def test_sql_distinct_order_by_source_on_hash_side(
+        ray_session, sf_dir, monkeypatch, order, tail):
+    """SELECT DISTINCT ... ORDER BY a key sorted on the source rows keeps
+    the row order and OFFSET/LIMIT rows of DuckDB when the DISTINCT merge
+    is the hash exchange, which does not keep row order."""
+    from gdal_ray.ops.sql import execute
+    from gdal_ray.util import sf_path
+
+    hashed = _spy_hash(monkeypatch)
+    monkeypatch.setattr(R, "TREE_MAX_BYTES", 0)
+    sql, ref = _DISTINCT_ORDERS[order]
+    got = to_arrow(execute(f"{sql} {tail}", sf_dir)).to_pylist()
+    assert hashed
+    con = duckdb.connect()
+    con.execute("CREATE VIEW orders AS SELECT * FROM "
+                f"read_parquet('{sf_path(sf_dir, 'orders')}')")
+    assert got == con.execute(f"{ref or sql} {tail}").arrow().to_pylist()
